@@ -57,7 +57,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 // with an observer attached: observers disable the grouped delivery
 // path, so this pins the parallel engine's ungrouped (per-delivery
 // materialization) route, and additionally checks the observers of both
-// engines saw identical event streams.
+// engines saw identical event streams, and that the Result's event
+// counts equal an observer's hook totals at every shard count.
 func TestParallelMatchesSequentialObserved(t *testing.T) {
 	for _, algo := range []string{AlgoPaRan1, AlgoDA} {
 		t.Run(algo, func(t *testing.T) {
@@ -86,7 +87,62 @@ func TestParallelMatchesSequentialObserved(t *testing.T) {
 			}
 		})
 	}
+	// The Result's whole-run event counts must equal an observer's hook
+	// totals on every engine path: the unobserved run takes grouped
+	// delivery and (sharded) the staged phase B, the observed one the
+	// eager path and the full replay.
+	for _, algo := range []string{AlgoDA, AlgoPaRan1, AlgoPaRan2} {
+		for _, adv := range []string{
+			"fair",
+			"random",
+			"crashing(fair, crash=1@3, crash=5@9)",
+			"restarting(fair, crash=1@3, crash=5@9, down=8)",
+			"omitting(fair, drop=2@0:40, to=0, to=3)",
+		} {
+			t.Run("counts/"+algo+"/"+adv, func(t *testing.T) {
+				for _, shards := range []int{1, 2, 4, 7} {
+					sc := Scenario{Algorithm: algo, Adversary: adv, P: 44, T: 256, D: 3, Seed: 17, Shards: shards}
+					plain, err := Run(sc)
+					if err != nil {
+						t.Fatalf("shards=%d: %v", shards, err)
+					}
+					obs := &countObserver{}
+					if _, err := RunWith(sc, Options{Observer: obs}); err != nil {
+						t.Fatalf("shards=%d observed: %v", shards, err)
+					}
+					r := plain.Sim
+					solved := int64(0)
+					if r.Solved {
+						solved = 1
+					}
+					got := [7]int64{r.TotalSteps, r.TotalMessages, r.Multicasts, r.Crashes, r.Revivals, r.Omissions, solved}
+					if got != obs.n {
+						t.Fatalf("shards=%d: Result counts %v (steps, messages, multicasts, crashes, revivals, omissions, solved), observer totals %v",
+							shards, got, obs.n)
+					}
+				}
+			})
+		}
+	}
 }
+
+// countObserver totals the hooks in the order of the Result fields they
+// reconcile with: steps, message copies, multicasts, crashes, revivals,
+// omissions, solved.
+type countObserver struct {
+	sim.NopObserver
+	n [7]int64
+}
+
+func (o *countObserver) OnStep(int, int64, *sim.StepResult) { o.n[0]++ }
+func (o *countObserver) OnMulticast(_ int, _ int64, _ any, recipients int) {
+	o.n[1] += int64(recipients)
+	o.n[2]++
+}
+func (o *countObserver) OnCrash(int, int64)          { o.n[3]++ }
+func (o *countObserver) OnRevive(int, int64)         { o.n[4]++ }
+func (o *countObserver) OnOmit(int, int, int64)      { o.n[5]++ }
+func (o *countObserver) OnSolved(int64, *sim.Result) { o.n[6]++ }
 
 // traceObserver records every engine event as a formatted line so two
 // runs' streams can be compared wholesale.

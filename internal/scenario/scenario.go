@@ -308,18 +308,9 @@ func Run(sc Scenario) (*Result, error) { return RunWith(sc, Options{}) }
 // the next RunOn with the same engine; copy what must outlive it. Only
 // BackendSim scenarios are supported; other backends fall back to Run.
 func RunOn(eng *sim.Engine, sc Scenario) (*Result, error) {
-	return RunOnWith(eng, sc, Options{})
-}
-
-// RunOnWith is RunOn with per-run options threaded through: an Observer
-// taps every engine event of the run (the service plane's live metrics
-// hang off this) at the usual zero-cost-when-nil contract. Non-observer
-// options are ignored on the engine path; non-sim backends fall back to
-// RunWith.
-func RunOnWith(eng *sim.Engine, sc Scenario, opts Options) (*Result, error) {
 	sc = sc.WithDefaults()
 	if sc.Backend != BackendSim || eng == nil {
-		return RunWith(sc, opts)
+		return Run(sc)
 	}
 	ms, err := sc.Machines()
 	if err != nil {
@@ -330,7 +321,7 @@ func RunOnWith(eng *sim.Engine, sc Scenario, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res, err := eng.Run(sim.Config{
-		P: sc.P, T: sc.T, MaxSteps: sc.MaxSteps, Observer: opts.Observer,
+		P: sc.P, T: sc.T, MaxSteps: sc.MaxSteps,
 		Shards: ResolveShards(sc.Shards, sc.P),
 	}, ms, adv)
 	if res == nil {

@@ -255,7 +255,7 @@ func RunSweepContext(ctx context.Context, c SweepConfig) ([]Cell, error) {
 				if i >= len(specs) || ctx.Err() != nil {
 					return
 				}
-				cells[i] = RunCellOn(ctx, eng, specs[i], c.Trials, c.Theory)
+				cells[i], _ = RunCellOn(ctx, eng, specs[i], c.Trials, c.Theory)
 				ran[i] = true
 				if done := int(completed.Add(1)); c.Progress != nil {
 					c.Progress(done, len(specs))
@@ -295,14 +295,12 @@ func RunSweepContext(ctx context.Context, c SweepConfig) ([]Cell, error) {
 // exactly (NsPerRun, a wall-clock observation, excepted). ctx cancels at
 // trial boundaries; a canceled cell reports ctx's error, never a partial
 // average.
-func RunCellOn(ctx context.Context, eng *sim.Engine, sc Scenario, trials int, theory bool) Cell {
-	return RunCellObserved(ctx, eng, sc, trials, theory, nil)
-}
-
-// RunCellObserved is RunCellOn with an Observer tapped into every trial's
-// engine events (nil costs nothing); observers see events but never
-// results, so observed cells stay byte-identical to unobserved ones.
-func RunCellObserved(ctx context.Context, eng *sim.Engine, sc Scenario, trials int, theory bool, obs Observer) Cell {
+//
+// The Tally sums the whole-run counts of every simulator run the cell
+// executed, a failed trial's partial Result included, so counting
+// consumers (the service's metrics) need no Observer and the runs stay
+// on the engine's grouped, staged fast path.
+func RunCellOn(ctx context.Context, eng *sim.Engine, sc Scenario, trials int, theory bool) (Cell, Tally) {
 	if trials < 1 {
 		trials = 1
 	}
@@ -313,22 +311,26 @@ func RunCellObserved(ctx context.Context, eng *sim.Engine, sc Scenario, trials i
 		P: sc.P, T: sc.T, D: sc.D, Q: sc.Q, Seed: sc.Seed, Trials: trials,
 		Shards: ResolveShards(sc.Shards, sc.P),
 	}
+	var tally Tally
 	start := time.Now()
 	for i := 0; i < trials; i++ {
 		if err := ctx.Err(); err != nil {
 			cell.Work, cell.Messages, cell.SolvedAt = 0, 0, 0
 			cell.Err = err.Error()
-			return cell
+			return cell, tally
 		}
 		run := sc
 		run.Seed = sc.Seed + int64(i)
-		res, err := RunOnWith(eng, run, Options{Observer: obs})
+		res, err := RunOn(eng, run)
+		if res != nil && res.Sim != nil {
+			tally.add(res.Sim)
+		}
 		if err != nil {
 			// Drop the partial sums: a failed cell reports only its error,
 			// never a misleading fraction of an average.
 			cell.Work, cell.Messages, cell.SolvedAt = 0, 0, 0
 			cell.Err = err.Error()
-			return cell
+			return cell, tally
 		}
 		cell.Work += float64(res.Sim.Work)
 		cell.Messages += float64(res.Sim.Messages)
@@ -341,7 +343,26 @@ func RunCellObserved(ctx context.Context, eng *sim.Engine, sc Scenario, trials i
 	if theory {
 		addTheory(&cell)
 	}
-	return cell
+	return cell, tally
+}
+
+// Tally sums whole-run simulator counts over the runs of a cell: Solved
+// counts solved runs, the rest sum the sim.Result field of the same name
+// (Steps = TotalSteps, Messages = TotalMessages).
+type Tally struct {
+	Solved, Steps, Messages, Multicasts, Crashes, Revivals, Omissions int64
+}
+
+func (t *Tally) add(r *sim.Result) {
+	if r.Solved {
+		t.Solved++
+	}
+	t.Steps += r.TotalSteps
+	t.Messages += r.TotalMessages
+	t.Multicasts += r.Multicasts
+	t.Crashes += r.Crashes
+	t.Revivals += r.Revivals
+	t.Omissions += r.Omissions
 }
 
 // addTheory fills a cell's closed-form theory columns. The DA bound's ε

@@ -262,7 +262,7 @@ func assertBenchCellsReproduce(t *testing.T, file string, p, tasks, wantChecked,
 			adv = rep.Adversary // pre-adversary-axis baselines (BENCH_0)
 		}
 		sc := Scenario{Algorithm: c.Algo, Adversary: adv, P: c.P, T: c.T, D: c.D, Seed: c.Seed, Shards: shards}
-		got := RunCellOn(context.Background(), eng, sc, c.Trials, false)
+		got, _ := RunCellOn(context.Background(), eng, sc, c.Trials, false)
 		if got.Err != "" {
 			t.Fatalf("cell %s/d=%d failed: %s", c.Algo, c.D, got.Err)
 		}
@@ -334,7 +334,7 @@ func TestBench3CheapCellReproducesSharded(t *testing.T) {
 			continue
 		}
 		sc := Scenario{Algorithm: c.Algo, Adversary: c.Adversary, P: c.P, T: c.T, D: c.D, Seed: c.Seed, Shards: 4}
-		got := RunCellOn(context.Background(), eng, sc, c.Trials, false)
+		got, _ := RunCellOn(context.Background(), eng, sc, c.Trials, false)
 		if got.Err != "" {
 			t.Fatalf("cell %s/%s t=%d failed: %s", c.Algo, c.Adversary, c.T, got.Err)
 		}

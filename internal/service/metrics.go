@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"doall/internal/scenario"
 	"doall/internal/sim"
 )
 
@@ -14,11 +15,13 @@ import (
 //
 //   - Service-level counters and gauges (jobs, cells, queue depth, engine
 //     fleet occupancy) maintained by the scheduler itself.
-//   - Simulation-level counters (steps, multicasts, deliveries, faults)
-//     wired through the engine's zero-cost-when-nil sim.Observer hooks:
-//     each worker owns a private, cache-line-padded counter block that its
-//     observer increments, and the scrape path sums the blocks — the hot
-//     loop never shares a written cache line between workers.
+//   - Simulation-level counters (steps, sends, message copies, faults,
+//     solved runs) folded once per cell from the counts the engine already
+//     keeps in sim.Result (summed over the cell's trials as a
+//     scenario.Tally), plus the cell's parallel-tick phase-time delta.
+//     Workers attach no sim.Observer: an observer moves a run off the
+//     engine's grouped delivery path and staged phase B, so daemon cells
+//     would run a slower engine than the one the benchmarks measure.
 type metrics struct {
 	start time.Time
 
@@ -43,7 +46,7 @@ type metrics struct {
 	// doalld_cells_per_second gauge (rate over the trailing window).
 	buckets [rateRing]rateBucket
 
-	sim []simCounters
+	sim simCounters
 }
 
 const (
@@ -56,12 +59,13 @@ type rateBucket struct {
 	n   atomic.Int64
 }
 
-// simCounters is one worker's observer-fed counter block, padded so two
-// workers never write the same cache line.
+// simCounters holds the simulation-level counters. Workers fold into
+// them once per cell, so contention is negligible and one shared set
+// serves the whole fleet.
 type simCounters struct {
 	steps      atomic.Int64
 	multicasts atomic.Int64
-	deliveries atomic.Int64
+	messages   atomic.Int64
 	crashes    atomic.Int64
 	revivals   atomic.Int64
 	omissions  atomic.Int64
@@ -73,14 +77,10 @@ type simCounters struct {
 	phaseA2Ns atomic.Int64
 	phaseBNs  atomic.Int64
 	parTicks  atomic.Int64
-	_         [5]int64 // pad to 128 bytes
 }
 
-func newMetrics(workers int) *metrics {
-	if workers < 1 {
-		workers = 1
-	}
-	return &metrics{start: time.Now(), sim: make([]simCounters, workers)}
+func newMetrics() *metrics {
+	return &metrics{start: time.Now()}
 }
 
 // cellDone records one completed cell into the totals and the rate ring.
@@ -115,39 +115,22 @@ func (m *metrics) rate() float64 {
 	return float64(sum) / rateWindow
 }
 
-// observer returns worker w's engine observer, feeding its private
-// counter block.
-func (m *metrics) observer(w int) sim.Observer {
-	return &workerObserver{c: &m.sim[w%len(m.sim)]}
-}
-
-// tickPhase folds one cell's parallel-tick phase-time delta into worker
-// w's counter block.
-func (m *metrics) tickPhase(w int, d sim.TickPhaseProfile) {
-	if d.Ticks == 0 && d.Total() == 0 {
-		return
-	}
-	c := &m.sim[w%len(m.sim)]
+// simDone folds one cell's summed run counts and parallel-tick
+// phase-time delta into the simulation counters.
+func (m *metrics) simDone(t scenario.Tally, d sim.TickPhaseProfile) {
+	c := &m.sim
+	c.steps.Add(t.Steps)
+	c.multicasts.Add(t.Multicasts)
+	c.messages.Add(t.Messages)
+	c.crashes.Add(t.Crashes)
+	c.revivals.Add(t.Revivals)
+	c.omissions.Add(t.Omissions)
+	c.solved.Add(t.Solved)
 	c.phaseA1Ns.Add(int64(d.A1))
 	c.phaseA2Ns.Add(int64(d.A2))
 	c.phaseBNs.Add(int64(d.B))
 	c.parTicks.Add(d.Ticks)
 }
-
-type workerObserver struct {
-	sim.NopObserver
-	c *simCounters
-}
-
-func (o *workerObserver) OnStep(int, int64, *sim.StepResult) { o.c.steps.Add(1) }
-func (o *workerObserver) OnMulticast(_ int, _ int64, _ any, recipients int) {
-	o.c.multicasts.Add(1)
-	o.c.deliveries.Add(int64(recipients))
-}
-func (o *workerObserver) OnCrash(int, int64)          { o.c.crashes.Add(1) }
-func (o *workerObserver) OnRevive(int, int64)         { o.c.revivals.Add(1) }
-func (o *workerObserver) OnOmit(int, int, int64)      { o.c.omissions.Add(1) }
-func (o *workerObserver) OnSolved(int64, *sim.Result) { o.c.solved.Add(1) }
 
 // gauges is the scheduler-state snapshot the scrape takes under the
 // service lock.
@@ -161,22 +144,7 @@ type gauges struct {
 // write renders the exposition text. Counter names follow the
 // <namespace>_<unit>_total convention; gauges are instantaneous.
 func (m *metrics) write(w io.Writer, g gauges) {
-	var steps, multicasts, deliveries, crashes, revivals, omissions, solved int64
-	var phaseA1, phaseA2, phaseB, parTicks int64
-	for i := range m.sim {
-		c := &m.sim[i]
-		steps += c.steps.Load()
-		multicasts += c.multicasts.Load()
-		deliveries += c.deliveries.Load()
-		crashes += c.crashes.Load()
-		revivals += c.revivals.Load()
-		omissions += c.omissions.Load()
-		solved += c.solved.Load()
-		phaseA1 += c.phaseA1Ns.Load()
-		phaseA2 += c.phaseA2Ns.Load()
-		phaseB += c.phaseBNs.Load()
-		parTicks += c.parTicks.Load()
-	}
+	c := &m.sim
 	busy := m.enginesInflight.Load()
 
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
@@ -217,24 +185,24 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	p("doalld_shard_threads_inflight %d\n", m.shardsInflight.Load())
 
 	p("# HELP doalld_tick_phase_seconds Wall-clock seconds the fleet's parallel tick engines spent per phase: a1 = serial prefix (schedule filter, cache-build plan and fan-out, shadow seeding), a2 = parallel shard stepping, b = serial tail (staged-reduction merge plus ordered residue, or the full replay).\n# TYPE doalld_tick_phase_seconds counter\n")
-	p("doalld_tick_phase_seconds{phase=\"a1\"} %.6f\n", float64(phaseA1)/1e9)
-	p("doalld_tick_phase_seconds{phase=\"a2\"} %.6f\n", float64(phaseA2)/1e9)
-	p("doalld_tick_phase_seconds{phase=\"b\"} %.6f\n", float64(phaseB)/1e9)
+	p("doalld_tick_phase_seconds{phase=\"a1\"} %.6f\n", float64(c.phaseA1Ns.Load())/1e9)
+	p("doalld_tick_phase_seconds{phase=\"a2\"} %.6f\n", float64(c.phaseA2Ns.Load())/1e9)
+	p("doalld_tick_phase_seconds{phase=\"b\"} %.6f\n", float64(c.phaseBNs.Load())/1e9)
 	p("# HELP doalld_tick_parallel_ticks_total Time units executed by the parallel tick engine (sequential-fallback ticks excluded).\n# TYPE doalld_tick_parallel_ticks_total counter\n")
-	p("doalld_tick_parallel_ticks_total %d\n", parTicks)
+	p("doalld_tick_parallel_ticks_total %d\n", c.parTicks.Load())
 
-	p("# HELP doalld_sim_steps_total Machine steps executed across all cells (Observer.OnStep).\n# TYPE doalld_sim_steps_total counter\n")
-	p("doalld_sim_steps_total %d\n", steps)
-	p("# HELP doalld_sim_multicasts_total Broadcasts scheduled (Observer.OnMulticast).\n# TYPE doalld_sim_multicasts_total counter\n")
-	p("doalld_sim_multicasts_total %d\n", multicasts)
-	p("# HELP doalld_sim_messages_total Point-to-point message copies scheduled.\n# TYPE doalld_sim_messages_total counter\n")
-	p("doalld_sim_messages_total %d\n", deliveries)
-	p("# HELP doalld_sim_crashes_total Adversary crash events observed.\n# TYPE doalld_sim_crashes_total counter\n")
-	p("doalld_sim_crashes_total %d\n", crashes)
-	p("# HELP doalld_sim_revivals_total Crash-restart revivals observed.\n# TYPE doalld_sim_revivals_total counter\n")
-	p("doalld_sim_revivals_total %d\n", revivals)
-	p("# HELP doalld_sim_omissions_total Message copies omitted by the adversary.\n# TYPE doalld_sim_omissions_total counter\n")
-	p("doalld_sim_omissions_total %d\n", omissions)
+	p("# HELP doalld_sim_steps_total Machine steps executed across all cell runs.\n# TYPE doalld_sim_steps_total counter\n")
+	p("doalld_sim_steps_total %d\n", c.steps.Load())
+	p("# HELP doalld_sim_multicasts_total Sends issued: one per broadcast, one per point-to-point send.\n# TYPE doalld_sim_multicasts_total counter\n")
+	p("doalld_sim_multicasts_total %d\n", c.multicasts.Load())
+	p("# HELP doalld_sim_messages_total Point-to-point message copies charged to senders, omitted copies included.\n# TYPE doalld_sim_messages_total counter\n")
+	p("doalld_sim_messages_total %d\n", c.messages.Load())
+	p("# HELP doalld_sim_crashes_total Adversary crash events.\n# TYPE doalld_sim_crashes_total counter\n")
+	p("doalld_sim_crashes_total %d\n", c.crashes.Load())
+	p("# HELP doalld_sim_revivals_total Crash-restart revivals.\n# TYPE doalld_sim_revivals_total counter\n")
+	p("doalld_sim_revivals_total %d\n", c.revivals.Load())
+	p("# HELP doalld_sim_omissions_total Message copies omitted by the adversary (charged, never delivered).\n# TYPE doalld_sim_omissions_total counter\n")
+	p("doalld_sim_omissions_total %d\n", c.omissions.Load())
 	p("# HELP doalld_sim_solved_total Runs that reached the solved instant.\n# TYPE doalld_sim_solved_total counter\n")
-	p("doalld_sim_solved_total %d\n", solved)
+	p("doalld_sim_solved_total %d\n", c.solved.Load())
 }

@@ -115,7 +115,7 @@ func (s *Service) predictBySimulation(ctx context.Context, q twin.Query) (twin.P
 		s.predictEng = sim.NewEngine()
 	}
 	s.predictSims.Add(1)
-	cell := scenario.RunCellObserved(ctx, s.predictEng, sc, 1, false, nil)
+	cell, _ := scenario.RunCellOn(ctx, s.predictEng, sc, 1, false)
 	if cell.Err != "" {
 		return twin.Prediction{}, fmt.Errorf("service: predict fallback simulation: %s", cell.Err)
 	}

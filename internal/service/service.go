@@ -170,7 +170,7 @@ func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		metrics:  newMetrics(cfg.Workers),
+		metrics:  newMetrics(),
 		jobs:     make(map[string]*task),
 		nextSeq:  1,
 		closedCh: make(chan struct{}),
@@ -190,7 +190,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
-		go s.worker(w)
+		go s.worker()
 	}
 	return s, nil
 }
@@ -458,15 +458,14 @@ func (s *Service) walAppend(rec walRecord) {
 }
 
 // worker is one member of the engine fleet: it claims cells, runs them
-// on its private reusable engine with its private metrics observer, and
-// records the results.
-func (s *Service) worker(id int) {
+// unobserved on its private reusable engine, folds each cell's run counts
+// into the metrics, and records the results.
+func (s *Service) worker() {
 	defer s.wg.Done()
 	eng := sim.NewEngine()
 	// Sharded cells park shard-worker goroutines on the engine; without
 	// the Close a drained fleet would strand them until process exit.
 	defer eng.Close()
-	obs := s.metrics.observer(id)
 	for {
 		t, i, ok := s.nextCell()
 		if !ok {
@@ -482,11 +481,11 @@ func (s *Service) worker(id int) {
 		s.metrics.enginesInflight.Add(1)
 		s.metrics.shardsInflight.Add(shards)
 		prof := eng.PhaseProfile()
-		cell := scenario.RunCellObserved(t.ctx, eng, spec, t.trials, t.theory, obs)
+		cell, tally := scenario.RunCellOn(t.ctx, eng, spec, t.trials, t.theory)
 		// The engine's phase profile is monotone across runs; the cell's
 		// contribution is the delta around it.
 		after := eng.PhaseProfile()
-		s.metrics.tickPhase(id, sim.TickPhaseProfile{
+		s.metrics.simDone(tally, sim.TickPhaseProfile{
 			A1:    after.A1 - prof.A1,
 			A2:    after.A2 - prof.A2,
 			B:     after.B - prof.B,

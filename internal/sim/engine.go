@@ -697,6 +697,8 @@ func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 			// The send is charged, the copy never flies; the payload
 			// goes straight back to the sender's pool.
 			e.res.TotalMessages++
+			e.res.Multicasts++
+			e.res.Omissions++
 			if !e.res.Solved {
 				e.res.Messages++
 				e.res.Bytes += e.wireSize(i, snd.Payload)
@@ -714,6 +716,7 @@ func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 		e.wheel.push(wevent{mc: mc, to: int32(snd.To)}, now+delay)
 		e.inflight++
 		e.res.TotalMessages++
+		e.res.Multicasts++
 		if !e.res.Solved {
 			e.res.Messages++
 			e.res.Bytes += e.wireSize(i, snd.Payload)
@@ -743,11 +746,12 @@ func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 // pool traffic in schedule order), inbox release, task-ledger set-bits
 // (kept in schedule order so the Undone count each halt check reads is
 // exactly the sequential engine's mid-tick value), halting, and the
-// informed check. Everything commutative — step/work counters, message
-// and byte accounting, batch cursor advancement and consumption counts —
-// was already pre-reduced per shard during A2 (finishStepLocal) and
-// merged before this runs; e.stagedAcct keeps the shared broadcast paths
-// from double-charging it.
+// informed check, plus the omission counts (only the residue queries the
+// omit stream). Everything commutative — step/work counters, message,
+// multicast and byte accounting, batch cursor advancement and
+// consumption counts — was already pre-reduced per shard during A2
+// (finishStepLocal) and merged before this runs; e.stagedAcct keeps the
+// shared broadcast paths from double-charging it.
 func (e *Engine) finishStepResidue(i int, now int64, r *StepResult, informed *bool) {
 	inbox := e.inbox[i]
 	for _, d := range inbox {
@@ -778,6 +782,7 @@ func (e *Engine) finishStepResidue(i int, now int64, r *StepResult, informed *bo
 		}
 		if e.omitter != nil && e.omitter.Omit(i, snd.To, now) {
 			// Charged by the shard pre-reduction; the copy never flies.
+			e.res.Omissions++
 			if rc := e.recyclers[i]; rc != nil {
 				rc.RecyclePayload(snd.Payload)
 			}
@@ -832,6 +837,7 @@ func (e *Engine) tick(now int64) {
 			if e.grouped {
 				e.dropBatches(i)
 			}
+			e.res.Crashes++
 			if e.obs != nil {
 				e.obs.OnCrash(i, now)
 			}
@@ -848,6 +854,7 @@ func (e *Engine) tick(now int64) {
 				e.cursor[i] = e.batchSeq
 			}
 			RejoinMachine(e.machines[i])
+			e.res.Revivals++
 			if e.obs != nil {
 				e.obs.OnRevive(i, now)
 			}
@@ -1007,6 +1014,7 @@ func (e *Engine) broadcastOmitting(i int, now int64, payload any) {
 			panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", dl, e.d))
 		}
 		if e.omitter.Omit(i, j, now) {
+			e.res.Omissions++
 			if e.obs != nil {
 				e.obs.OnOmit(i, j, now)
 			}
@@ -1025,6 +1033,7 @@ func (e *Engine) broadcastOmitting(i int, now int64, payload any) {
 		// independent, so shards need no adversary queries to compute it).
 		n := int64(p - 1)
 		e.res.TotalMessages += n
+		e.res.Multicasts++
 		if !e.res.Solved {
 			e.res.Messages += n
 			e.res.Bytes += e.wireSize(i, payload) * n
@@ -1052,6 +1061,7 @@ func (e *Engine) finishMulticast(i int, now int64, payload any, recipients int) 
 	}
 	n := int64(recipients)
 	e.res.TotalMessages += n
+	e.res.Multicasts++
 	if !e.res.Solved {
 		e.res.Messages += n
 		e.res.Bytes += e.wireSize(i, payload) * n

@@ -127,6 +127,7 @@ func (s *legacyState) tick(now int64) {
 				// crash (matching the multicast engine), so a later revive
 				// starts with an empty inbox.
 				s.inbox[i] = nil
+				s.res.Crashes++
 			}
 			s.crashed[i] = true
 		}
@@ -134,6 +135,7 @@ func (s *legacyState) tick(now int64) {
 	for _, i := range dec.Revive {
 		if i >= 0 && i < s.cfg.P && s.crashed[i] && !s.halted[i] {
 			s.crashed[i] = false
+			s.res.Revivals++
 			RejoinMachine(s.machines[i])
 		}
 	}
@@ -174,6 +176,9 @@ func (s *legacyState) tick(now int64) {
 			if sz, ok := r.Broadcast.(Payload); ok {
 				wireSize = int64(sz.WireSize())
 			}
+			if s.cfg.P > 1 {
+				s.res.Multicasts++
+			}
 			for j := 0; j < s.cfg.P; j++ {
 				if j == i {
 					continue
@@ -187,6 +192,8 @@ func (s *legacyState) tick(now int64) {
 				// aligned with the multicast engine).
 				if s.omitter == nil || !s.omitter.Omit(i, j, now) {
 					s.pending.push(Message{From: i, To: j, SentAt: now, DeliverAt: now + delay, Payload: r.Broadcast})
+				} else {
+					s.res.Omissions++
 				}
 				s.res.TotalMessages++
 				if !s.res.Solved {
@@ -206,8 +213,11 @@ func (s *legacyState) tick(now int64) {
 			}
 			if s.omitter == nil || !s.omitter.Omit(i, snd.To, now) {
 				s.pending.push(Message{From: i, To: snd.To, SentAt: now, DeliverAt: now + delay, Payload: snd.Payload})
+			} else {
+				s.res.Omissions++
 			}
 			s.res.TotalMessages++
+			s.res.Multicasts++
 			if !s.res.Solved {
 				s.res.Messages++
 				if sz, ok := snd.Payload.(Payload); ok {

@@ -36,11 +36,19 @@ func (e *Engine) PhaseProfile() TickPhaseProfile {
 
 // Observer is the optional hook set threaded through the multicast engine
 // (Run). Set Config.Observer to receive a callback at every observable
-// event of an execution — tracing, per-round metrics, and live dashboards
-// hang off these hooks instead of forking the engine. A nil observer costs
-// nothing: the engine guards every hook with a single nil check, so the
-// hot path is unchanged (guarded by the BenchmarkEngineMulticast*
-// benchmarks against the BENCH_0.json baselines).
+// event of an execution — traces and per-event debugging hang off these
+// hooks instead of forking the engine. A nil observer costs nothing: the
+// engine guards every hook with a single nil check, so the hot path is
+// unchanged (guarded by the BenchmarkEngineMulticast* benchmarks against
+// the BENCH_0.json baselines).
+//
+// Observers are for traces, not for counting. An attached observer moves
+// the run off the grouped delivery path and the staged parallel phase B
+// (see below), so production paths — the sweep runner and the service's
+// worker fleet — attach none. The whole-run totals of every hook are in
+// Result instead: OnStep sums to TotalSteps, OnMulticast to Multicasts
+// (its recipients to TotalMessages), OnCrash/OnRevive/OnOmit to
+// Crashes/Revivals/Omissions, and OnSolved fires iff Solved.
 //
 // Hooks run synchronously inside the engine loop. Implementations must not
 // mutate anything they are handed and must not retain pointer arguments

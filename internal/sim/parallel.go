@@ -74,6 +74,7 @@ type shardBlock struct {
 	// count then drops by the prefix sum over offsets ≤ b's).
 	steps     int64
 	msgs      int64
+	mcasts    int64
 	bytes     int64
 	taskExecs int64
 	primary   int64
@@ -208,7 +209,7 @@ func (e *Engine) runShard(s int) {
 		}
 		return
 	}
-	sb.steps, sb.msgs, sb.bytes = 0, 0, 0
+	sb.steps, sb.msgs, sb.mcasts, sb.bytes = 0, 0, 0, 0
 	sb.taskExecs, sb.primary, sb.secondary = 0, 0, 0
 	nb := e.parNb
 	if cap(sb.consumed) < nb {
@@ -238,10 +239,12 @@ func (e *Engine) runShard(s int) {
 //     performer of one task gets the same class, exactly as the
 //     sequential interleaving assigns). Out-of-range tasks are left for
 //     the serial residue's validation panic;
-//   - message and byte charges: a broadcast charges p-1 messages and
-//     p-1 wire sizes and a valid send charges one of each, omitted or
-//     not, so no adversary query is needed here and the stateful omit
-//     stream stays untouched until the residue replays it.
+//   - message, multicast and byte charges: a broadcast charges p-1
+//     messages and p-1 wire sizes and a valid send charges one of each,
+//     omitted or not, and either counts one multicast, so no adversary
+//     query is needed here and the stateful omit stream stays untouched
+//     until the residue replays it (which is where omissions are
+//     counted).
 func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock) {
 	if e.grouped {
 		cur := e.cursor[i]
@@ -266,6 +269,7 @@ func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock
 	if r.Broadcast != nil && e.cfg.P > 1 {
 		n := int64(e.cfg.P - 1)
 		sb.msgs += n
+		sb.mcasts++
 		sb.bytes += e.wireSize(i, r.Broadcast) * n
 	}
 	for _, snd := range r.Sends {
@@ -273,6 +277,7 @@ func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock
 			continue
 		}
 		sb.msgs++
+		sb.mcasts++
 		sb.bytes += e.wireSize(i, snd.Payload)
 	}
 }
@@ -426,11 +431,12 @@ func (e *Engine) tickPar(now int64) (int, bool, bool) {
 	// or, with an Observer attached, replay the full finishStep.
 	informed := false
 	if e.parStaged {
-		var steps, msgs, bytes, texecs, prim, sec int64
+		var steps, msgs, mcasts, bytes, texecs, prim, sec int64
 		for s := 0; s < nsh; s++ {
 			sb := &e.shard[s]
 			steps += sb.steps
 			msgs += sb.msgs
+			mcasts += sb.mcasts
 			bytes += sb.bytes
 			texecs += sb.taskExecs
 			prim += sb.primary
@@ -441,6 +447,7 @@ func (e *Engine) tickPar(now int64) (int, bool, bool) {
 		e.res.PrimaryExecutions += prim
 		e.res.SecondaryExecutions += sec
 		e.res.TotalMessages += msgs
+		e.res.Multicasts += mcasts
 		if !e.res.Solved {
 			e.res.Work += steps
 			e.res.Messages += msgs

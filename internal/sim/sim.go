@@ -495,6 +495,14 @@ type Result struct {
 	// TotalSteps and TotalMessages extend the counts to the whole
 	// execution (until every processor halted or crashed, or the cap).
 	TotalSteps, TotalMessages int64
+	// Multicasts, Crashes, Revivals and Omissions count the execution's
+	// whole-run events: sends (one per broadcast, one per point-to-point
+	// send; TotalMessages is their summed recipient count), adversary
+	// crashes of processors not already down, crash-restart revivals, and
+	// message copies the network dropped (charged in TotalMessages, never
+	// delivered). They are exactly the totals of the matching Observer
+	// hooks, so counting consumers need no observer.
+	Multicasts, Crashes, Revivals, Omissions int64
 	// Bytes is the wire volume (in bytes) of the point-to-point messages
 	// counted in Messages, for payloads that implement
 	// interface{ WireSize() int }; other payloads contribute zero. Byte
