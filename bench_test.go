@@ -24,6 +24,7 @@ import (
 	"doall/internal/adversary"
 	"doall/internal/bitset"
 	"doall/internal/bounds"
+	"doall/internal/core"
 	"doall/internal/harness"
 	"doall/internal/perm"
 	"doall/internal/sim"
@@ -346,6 +347,36 @@ func BenchmarkContentionSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := rand.New(rand.NewSource(int64(i)))
 		perm.FindLowContentionList(5, 5, 20, r)
+	}
+}
+
+// BenchmarkDContentionSearchP128D8 is PaDet's construction at the p=128,
+// d=8 fair-grid cell: a 32-restart d-contention search over lists of 128
+// permutations of 128 jobs, with 64 sampled σ per candidate.
+func BenchmarkDContentionSearchP128D8(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := rand.New(rand.NewSource(1))
+		perm.FindLowDContentionList(128, 128, 8, 32, r)
+	}
+}
+
+// BenchmarkNewPaRan1P4096 times PaRan1's construction at p=4096 (4096
+// permutations of 4096 jobs, 128 MiB of backing) serially and at the
+// fan-out the scenario registry uses for this width.
+func BenchmarkNewPaRan1P4096(b *testing.B) {
+	const p, t = 4096, 1 << 16
+	fans := []int{1}
+	if auto := doall.ResolveShards(doall.ShardsAuto, p); auto > 1 {
+		fans = append(fans, auto)
+	}
+	for _, shards := range fans {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.NewPaRan1Sharded(p, t, 42, shards)
+			}
+		})
 	}
 }
 

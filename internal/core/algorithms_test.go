@@ -368,3 +368,32 @@ func TestObliDoScheduleArityMismatchPanics(t *testing.T) {
 	}()
 	NewObliDo(4, 4, perm.List{perm.Identity(3)})
 }
+
+// TestPABuildFanOutEquivalence pins the shard-parallel builds to the
+// serial ones: at every fan-out, including uneven splits and more shards
+// than processors, PaRan1 must draw the same permutations and PaRan2's
+// selectors the same first draws. Run under -race it also checks that the
+// shards write disjoint parts of the shared backing.
+func TestPABuildFanOutEquivalence(t *testing.T) {
+	for _, c := range []struct{ p, tasks int }{{1, 4}, {5, 20}, {64, 256}, {131, 1000}} {
+		serial1 := NewPaRan1(c.p, c.tasks, 17)
+		firstDraws := make([]int64, c.p)
+		for i, m := range NewPaRan2(c.p, c.tasks, 17) {
+			firstDraws[i] = m.(*PA).selector.(*randSelector).rng.Int63()
+		}
+		for _, shards := range []int{1, 2, 3, 7} {
+			ran1 := NewPaRan1Sharded(c.p, c.tasks, 17, shards)
+			ran2 := NewPaRan2Sharded(c.p, c.tasks, 17, shards)
+			for i := 0; i < c.p; i++ {
+				want := serial1[i].(*PA).selector.(*permSelector).order
+				got := ran1[i].(*PA).selector.(*permSelector).order
+				if !got.Equal(want) {
+					t.Fatalf("p=%d shards=%d: PaRan1 pid %d permutation %v, serial %v", c.p, shards, i, got, want)
+				}
+				if g := ran2[i].(*PA).selector.(*randSelector).rng.Int63(); g != firstDraws[i] {
+					t.Fatalf("p=%d shards=%d: PaRan2 pid %d first draw %d, serial %d", c.p, shards, i, g, firstDraws[i])
+				}
+			}
+		}
+	}
+}

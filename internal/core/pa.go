@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"doall/internal/bitset"
 	"doall/internal/perm"
@@ -125,36 +126,76 @@ func (s *randSelector) reset() { s.committed = -1 }
 
 // NewPaRan1 builds the p machines of algorithm PaRan1 for t tasks; each
 // processor draws its job permutation from a rand source seeded with
-// seed+pid, so runs are reproducible.
-func NewPaRan1(p, t int, seed int64) []sim.Machine {
+// seed+pid, so runs are reproducible. It builds serially; see
+// NewPaRan1Sharded.
+func NewPaRan1(p, t int, seed int64) []sim.Machine { return NewPaRan1Sharded(p, t, seed, 1) }
+
+// NewPaRan1Sharded is NewPaRan1 with the per-processor builds fanned out
+// over `shards` goroutines (inline for shards ≤ 1). A processor's
+// permutation depends on seed+pid alone, so every shard count builds
+// identical machines.
+func NewPaRan1Sharded(p, t int, seed int64, shards int) []sim.Machine {
 	jobs := NewJobs(p, t)
 	ms := make([]sim.Machine, p)
-	// One source, re-seeded per processor: Seed(s) fully reinitializes the
-	// generator, so the permutations are bit-identical to fresh
-	// rand.NewSource(s) draws while machine construction sheds p-1 source
-	// allocations (the dominant construction garbage at large p).
-	src := rand.NewSource(seed)
-	r := rand.New(src)
 	// All p permutations share one backing array (pointer-free, one
-	// allocation) instead of p separate ones.
+	// allocation) instead of p separate ones; each shard writes its own
+	// processors' slices of it.
 	backing := make([]int, p*jobs.N)
-	for i := range ms {
-		src.Seed(seed + int64(i))
-		order := perm.RandomInto(jobs.N, r, backing[i*jobs.N:])
-		ms[i] = newPA(i, p, jobs, &permSelector{order: order})
-	}
+	fanOut(p, shards, func(lo, hi int) {
+		// One source per shard, re-seeded per processor: Seed(s) fully
+		// reinitializes the generator, so the permutations are
+		// bit-identical to fresh rand.NewSource(s) draws while
+		// construction sheds a source allocation per processor.
+		src := rand.NewSource(seed)
+		r := rand.New(src)
+		for i := lo; i < hi; i++ {
+			src.Seed(seed + int64(i))
+			order := perm.RandomInto(jobs.N, r, backing[i*jobs.N:])
+			ms[i] = newPA(i, p, jobs, &permSelector{order: order})
+		}
+	})
 	return ms
 }
 
-// NewPaRan2 builds the p machines of algorithm PaRan2 for t tasks.
-func NewPaRan2(p, t int, seed int64) []sim.Machine {
+// NewPaRan2 builds the p machines of algorithm PaRan2 for t tasks; each
+// processor's selector draws from a rand source seeded with seed+pid. It
+// builds serially; see NewPaRan2Sharded.
+func NewPaRan2(p, t int, seed int64) []sim.Machine { return NewPaRan2Sharded(p, t, seed, 1) }
+
+// NewPaRan2Sharded is NewPaRan2 with the per-processor source seeding
+// fanned out over `shards` goroutines (inline for shards ≤ 1); every shard
+// count builds identical machines.
+func NewPaRan2Sharded(p, t int, seed int64, shards int) []sim.Machine {
 	jobs := NewJobs(p, t)
 	ms := make([]sim.Machine, p)
-	for i := range ms {
-		r := rand.New(rand.NewSource(seed + int64(i)))
-		ms[i] = newPA(i, p, jobs, &randSelector{rng: r, committed: -1})
-	}
+	fanOut(p, shards, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r := rand.New(rand.NewSource(seed + int64(i)))
+			ms[i] = newPA(i, p, jobs, &randSelector{rng: r, committed: -1})
+		}
+	})
 	return ms
+}
+
+// fanOut calls build on `shards` contiguous ranges covering [0, p), one
+// goroutine each, and waits for all of them; with one shard (or fewer) it
+// calls build(0, p) inline.
+func fanOut(p, shards int, build func(lo, hi int)) {
+	shards = min(shards, p)
+	if shards <= 1 {
+		build(0, p)
+		return
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		lo, hi := s*p/shards, (s+1)*p/shards
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			build(lo, hi)
+		}()
+	}
+	wg.Wait()
 }
 
 // NewPaDet builds the p machines of algorithm PaDet for t tasks using the

@@ -6,11 +6,26 @@
 // A Perm p represents the permutation π of {0,…,n-1} with π(i) = p[i].
 // (The paper uses 1-based [n]; we use 0-based throughout and translate in
 // documentation only.)
+//
+// Cost. d-left-to-right maxima are counted with a running top-d min-heap
+// in O(n log d) per permutation, so one (d)-Cont(Σ, σ) evaluation of p
+// schedules costs O(p·n log d) and allocates nothing: σ⁻¹, each σ⁻¹∘π_u
+// and the heap live in buffers reused across σ. Contention is the d = 1
+// case of d-contention and shares its code path.
+//
+// Pruning. The schedule-list searches keep a candidate only if its maximum
+// over σ is below the best contention found so far. The per-σ sum only
+// grows, so a candidate is abandoned as soon as any partial sum reaches
+// that bound. Abandoned candidates still draw every remaining random σ,
+// and winners are always evaluated in full, so a pruned search returns the
+// same list, contention and candidate count, and leaves the generator in
+// the same state, as an unpruned one.
 package perm
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -208,43 +223,82 @@ func LRM(p Perm) int {
 // preceded by fewer than d elements greater than p[j] (paper Section 4.2).
 // For d = 1 this coincides with LRM.
 func DLRM(p Perm, d int) int {
-	if d <= 0 {
-		return 0
-	}
-	count := 0
-	for j, v := range p {
-		greater := 0
-		for i := 0; i < j && greater < d; i++ {
-			if p[i] > v {
-				greater++
-			}
-		}
-		if greater < d {
-			count++
-		}
-	}
-	return count
+	n, _ := dlrmScan(p, d, make([]int, heapCap(len(p), d)), false)
+	return n
 }
 
 // DLRMPositions returns the indices j of p that are d-left-to-right maxima,
 // in increasing order. DLRM(p, d) == len(DLRMPositions(p, d)).
 func DLRMPositions(p Perm, d int) []int {
-	if d <= 0 {
-		return nil
+	_, pos := dlrmScan(p, d, make([]int, heapCap(len(p), d)), true)
+	return pos
+}
+
+// heapCap is the top-d heap size dlrmScan needs for n elements.
+func heapCap(n, d int) int {
+	if d < 0 {
+		return 0
 	}
-	var out []int
-	for j, v := range p {
-		greater := 0
-		for i := 0; i < j && greater < d; i++ {
-			if p[i] > v {
-				greater++
+	return min(d, n)
+}
+
+// dlrmScan counts the d-left-to-right maxima of p in O(n log d), keeping
+// the d largest elements seen so far in the min-heap h (len ≥
+// heapCap(len(p), d)). p[j] is a d-lrm iff it enters that top d: the first
+// d elements always do, and a later one does iff it exceeds the heap's
+// minimum, since then fewer than d predecessors are larger. With positions
+// set it also returns the d-lrm indices in increasing order.
+func dlrmScan(p []int, d int, h []int, positions bool) (int, []int) {
+	n := len(p)
+	if d <= 0 {
+		return 0, nil
+	}
+	var pos []int
+	if d >= n {
+		if positions {
+			pos = Identity(n)
+		}
+		return n, pos
+	}
+	h = h[:d]
+	copy(h, p[:d])
+	for i := d/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	if positions {
+		pos = Identity(d)
+	}
+	count := d
+	for j := d; j < n; j++ {
+		if v := p[j]; v > h[0] {
+			h[0] = v
+			siftDown(h, 0)
+			count++
+			if positions {
+				pos = append(pos, j)
 			}
 		}
-		if greater < d {
-			out = append(out, j)
-		}
 	}
-	return out
+	return count, pos
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []int, i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h[r] < h[c] {
+			c = r
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // List is an ordered list of permutations, all of the same length, used as
@@ -284,57 +338,95 @@ func (l List) Clone() List {
 }
 
 // ContWrt returns Cont(l, σ) = Σ_u lrm(σ⁻¹ ∘ π_u), the contention of the
-// schedule list with respect to σ (paper Section 4).
-func ContWrt(l List, sigma Perm) int {
-	inv := sigma.Inverse()
-	total := 0
-	for _, p := range l {
-		total += LRM(inv.Compose(p))
-	}
-	return total
-}
+// schedule list with respect to σ (paper Section 4). It is (1)-Cont(l, σ).
+func ContWrt(l List, sigma Perm) int { return DContWrt(l, sigma, 1) }
 
 // DContWrt returns (d)-Cont(l, σ) = Σ_u (d)-lrm(σ⁻¹ ∘ π_u).
 func DContWrt(l List, sigma Perm, d int) int {
-	inv := sigma.Inverse()
-	total := 0
-	for _, p := range l {
-		total += DLRM(inv.Compose(p), d)
-	}
-	return total
+	return newEvaluator(l, d).wrt(sigma, math.MaxInt)
 }
 
 // Cont returns the contention Cont(l) = max_σ Cont(l, σ), computed by
 // exhaustive enumeration of σ ∈ S_n. It is exponential in n; use
 // ContEstimate for larger n.
-func Cont(l List) int {
-	return maxOverSn(l.N(), func(sigma Perm) int { return ContWrt(l, sigma) })
-}
+func Cont(l List) int { return DCont(l, 1) }
 
 // DCont returns (d)-Cont(l) = max_σ (d)-Cont(l, σ) by exhaustive
 // enumeration of σ ∈ S_n. Exponential in n; use DContEstimate for larger n.
 func DCont(l List, d int) int {
-	return maxOverSn(l.N(), func(sigma Perm) int { return DContWrt(l, sigma, d) })
+	return newEvaluator(l, d).maxOverSn(math.MaxInt)
 }
 
-// maxOverSn maximizes f over all permutations of n elements using Heap's
-// iterative enumeration.
-func maxOverSn(n int, f func(Perm) int) int {
+// ContEstimate lower-bounds Cont(l) by maximizing over `samples` random σ
+// plus the identity and reverse permutations. Exact maximization is
+// exponential; random probing gives a useful lower estimate for reporting.
+func ContEstimate(l List, samples int, r *rand.Rand) int {
+	return DContEstimate(l, 1, samples, r)
+}
+
+// DContEstimate lower-bounds (d)-Cont(l) the same way ContEstimate bounds
+// Cont(l).
+func DContEstimate(l List, d, samples int, r *rand.Rand) int {
+	return newEvaluator(l, d).estimate(samples, r, math.MaxInt)
+}
+
+// evaluator computes (d)-contention of one list with no allocation per σ:
+// σ⁻¹, each σ⁻¹∘π_u, the top-d heap and sampled σ all live in buffers
+// allocated once. Plain contention is the d = 1 case.
+type evaluator struct {
+	l     List
+	d     int
+	inv   []int // σ⁻¹
+	comp  []int // σ⁻¹∘π_u
+	heap  []int // top-d heap of dlrmScan
+	sigma []int // σ drawn by estimate
+}
+
+func newEvaluator(l List, d int) *evaluator {
+	n := l.N()
+	buf := make([]int, 3*n+heapCap(n, d))
+	return &evaluator{l: l, d: d, inv: buf[:n], comp: buf[n : 2*n], sigma: buf[2*n : 3*n], heap: buf[3*n:]}
+}
+
+// wrt returns (d)-Cont(l, σ), or as soon as a partial sum over the
+// schedules reaches stop, that partial sum (some value ≥ stop).
+func (e *evaluator) wrt(sigma Perm, stop int) int {
+	for i, v := range sigma {
+		e.inv[v] = i
+	}
+	total := 0
+	for _, p := range e.l {
+		for i, v := range p {
+			e.comp[i] = e.inv[v]
+		}
+		n, _ := dlrmScan(e.comp, e.d, e.heap, false)
+		if total += n; total >= stop {
+			break
+		}
+	}
+	return total
+}
+
+// maxOverSn maximizes wrt over all permutations of n elements using Heap's
+// iterative enumeration. It returns early, with some value ≥ stop, once
+// the maximum reaches stop.
+func (e *evaluator) maxOverSn(stop int) int {
+	n := e.l.N()
 	if n == 0 {
 		return 0
 	}
 	sigma := Identity(n)
-	best := f(sigma)
+	best := e.wrt(sigma, stop)
 	c := make([]int, n)
 	i := 0
-	for i < n {
+	for i < n && best < stop {
 		if c[i] < i {
 			if i%2 == 0 {
 				sigma[0], sigma[i] = sigma[i], sigma[0]
 			} else {
 				sigma[c[i]], sigma[i] = sigma[i], sigma[c[i]]
 			}
-			if v := f(sigma); v > best {
+			if v := e.wrt(sigma, stop); v > best {
 				best = v
 			}
 			c[i]++
@@ -347,29 +439,32 @@ func maxOverSn(n int, f func(Perm) int) int {
 	return best
 }
 
-// ContEstimate lower-bounds Cont(l) by maximizing over `samples` random σ
-// plus the identity and reverse permutations. Exact maximization is
-// exponential; random probing gives a useful lower estimate for reporting.
-func ContEstimate(l List, samples int, r *rand.Rand) int {
-	return estimate(l.N(), samples, r, func(sigma Perm) int { return ContWrt(l, sigma) })
-}
-
-// DContEstimate lower-bounds (d)-Cont(l) the same way ContEstimate bounds
-// Cont(l).
-func DContEstimate(l List, d, samples int, r *rand.Rand) int {
-	return estimate(l.N(), samples, r, func(sigma Perm) int { return DContWrt(l, sigma, d) })
-}
-
-func estimate(n, samples int, r *rand.Rand, f func(Perm) int) int {
+// estimate maximizes wrt over the identity, the reverse and `samples`
+// random σ. Once the maximum reaches stop it returns some value ≥ stop,
+// but only after drawing every remaining σ, so r advances exactly as in a
+// full evaluation.
+func (e *evaluator) estimate(samples int, r *rand.Rand, stop int) int {
+	n := e.l.N()
 	if n == 0 {
 		return 0
 	}
-	best := f(Identity(n))
-	if v := f(Reverse(n)); v > best {
-		best = v
+	sigma := Perm(e.sigma)
+	for i := range sigma {
+		sigma[i] = i
 	}
-	for i := 0; i < samples; i++ {
-		if v := f(Random(n, r)); v > best {
+	best := e.wrt(sigma, stop)
+	// Then σ runs through the reverse (i = -1) and `samples` random draws.
+	for i := range sigma {
+		sigma[i] = n - 1 - i
+	}
+	for i := -1; i < samples; i++ {
+		if i >= 0 {
+			RandomInto(n, r, sigma)
+		}
+		if best >= stop {
+			continue
+		}
+		if v := e.wrt(sigma, stop); v > best {
 			best = v
 		}
 	}

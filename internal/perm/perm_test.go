@@ -1,6 +1,7 @@
 package perm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -111,9 +112,9 @@ func TestLRMKnownValues(t *testing.T) {
 	}{
 		{Perm{}, 0},
 		{Perm{0}, 1},
-		{Perm{0, 1, 2, 3}, 4},   // identity: every element is an lrm
-		{Perm{3, 2, 1, 0}, 1},   // reverse: only first
-		{Perm{1, 0, 3, 2}, 2},   // 1 and 3
+		{Perm{0, 1, 2, 3}, 4}, // identity: every element is an lrm
+		{Perm{3, 2, 1, 0}, 1}, // reverse: only first
+		{Perm{1, 0, 3, 2}, 2}, // 1 and 3
 		{Perm{2, 0, 1, 4, 3}, 2} /* 2 and 4 */}
 	for _, c := range cases {
 		if got := LRM(c.p); got != c.want {
@@ -367,13 +368,6 @@ func TestQuickSelfContention(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestRandomIntoMatchesRandom pins the allocation-free permutation
 // generator to math/rand's Perm: identical generator states must yield
 // identical permutations (PaRan1's reproducibility depends on it).
@@ -392,5 +386,101 @@ func TestRandomIntoMatchesRandom(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// naiveDLRM is the reference d-lrm count: for each element, rescan the
+// prefix for greater predecessors (the definition of Section 4.2,
+// O(n·d·log(n/d)) per permutation). naivePositions records their indices.
+func naiveDLRM(p Perm, d int) int { return len(naivePositions(p, d)) }
+
+func naivePositions(p Perm, d int) []int {
+	if d <= 0 {
+		return nil
+	}
+	var out []int
+	for j, v := range p {
+		greater := 0
+		for i := 0; i < j && greater < d; i++ {
+			if p[i] > v {
+				greater++
+			}
+		}
+		if greater < d {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// naiveDContWrt is the reference (d)-Cont(l, σ): compose σ⁻¹∘π_u with
+// fresh allocations and count with naiveDLRM.
+func naiveDContWrt(l List, sigma Perm, d int) int {
+	inv := sigma.Inverse()
+	total := 0
+	for _, p := range l {
+		total += naiveDLRM(inv.Compose(p), d)
+	}
+	return total
+}
+
+// TestDLRMMatchesReference checks the top-d heap count against the prefix
+// rescan on random permutations, n ∈ [0, 300] and d ∈ [-1, n+2], covering
+// the edges d ≤ 0 (no d-lrm) and d ≥ n (every element).
+func TestDLRMMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 400; trial++ {
+		n := r.Intn(301)
+		p := Random(n, r)
+		for _, d := range []int{-1, 0, 1, 2, r.Intn(n + 3), n - 1, n, n + 1, n + 2} {
+			want := naivePositions(p, d)
+			if got := DLRM(p, d); got != len(want) {
+				t.Fatalf("n=%d d=%d: DLRM = %d, reference %d", n, d, got, len(want))
+			}
+			got := DLRMPositions(p, d)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d d=%d: %d positions, reference %d", n, d, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d d=%d: position %d is %d, reference %d", n, d, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestContWrtMatchesReference checks ContWrt and DContWrt against the
+// allocate-and-rescan reference on random lists and σ.
+func TestContWrtMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 60; trial++ {
+		n := r.Intn(301)
+		l := RandomList(1+r.Intn(6), n, r)
+		sigma := Random(n, r)
+		if got, want := ContWrt(l, sigma), naiveDContWrt(l, sigma, 1); got != want {
+			t.Fatalf("n=%d: ContWrt = %d, reference %d", n, got, want)
+		}
+		for _, d := range []int{-1, 0, 1, r.Intn(n + 3), n, n + 2} {
+			if got, want := DContWrt(l, sigma, d), naiveDContWrt(l, sigma, d); got != want {
+				t.Fatalf("n=%d d=%d: DContWrt = %d, reference %d", n, d, got, want)
+			}
+		}
+	}
+}
+
+// TestEvaluatorAllocatesNothingPerSigma pins the search's inner loop to
+// zero allocations: evaluating one σ, and a whole 64-sample estimate of a
+// candidate, reuse the evaluator's buffers.
+func TestEvaluatorAllocatesNothingPerSigma(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	const n, d = 128, 8
+	e := newEvaluator(RandomList(n, n, r), d)
+	sigma := Random(n, r)
+	if a := testing.AllocsPerRun(50, func() { e.wrt(sigma, math.MaxInt) }); a != 0 {
+		t.Fatalf("(d)-Cont(l, σ) allocates %v per σ, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { e.estimate(64, r, math.MaxInt) }); a != 0 {
+		t.Fatalf("64-sample estimate allocates %v per candidate, want 0", a)
 	}
 }

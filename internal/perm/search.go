@@ -53,28 +53,10 @@ func DContBound(n, p, d int) float64 {
 // existence argument (random lists meet the O(n log n) bound w.h.p.).
 //
 // The returned contention is exact for n ≤ maxExactN (contention evaluation
-// enumerates S_n), estimated otherwise.
+// enumerates S_n), estimated otherwise. Contention is (1)-contention, so
+// this is FindLowDContentionList at d = 1.
 func FindLowContentionList(k, n, restarts int, r *rand.Rand) SearchResult {
-	const maxExactN = 7
-	exact := n <= maxExactN
-	eval := func(l List) int {
-		if exact {
-			return Cont(l)
-		}
-		return ContEstimate(l, 64, r)
-	}
-
-	best := canonicalList(k, n)
-	bestCont := eval(best)
-	candidates := 1
-	for i := 0; i < restarts; i++ {
-		cand := RandomList(k, n, r)
-		candidates++
-		if c := eval(cand); c < bestCont {
-			best, bestCont = cand, c
-		}
-	}
-	return SearchResult{List: best, Cont: bestCont, Exact: exact, Candidates: candidates}
+	return FindLowDContentionList(k, n, 1, restarts, r)
 }
 
 // FindLowDContentionList searches for a list of k permutations of n
@@ -82,24 +64,37 @@ func FindLowContentionList(k, n, restarts int, r *rand.Rand) SearchResult {
 // realizes Corollary 4.5 constructively: random lists meet the bound with
 // probability ≥ 1 - e^{-n ln n·ln(7/e²) - p}, so a handful of restarts keeps
 // the best comfortably below it.
+//
+// A candidate is kept only if its maximum over σ is below the best so far,
+// so its evaluation stops counting once a partial sum reaches that bound
+// (the sums only grow); the estimated path still draws every remaining σ,
+// so r advances exactly as under full evaluation. Only the rejected
+// candidates are cut short: the result is the same as without pruning.
 func FindLowDContentionList(k, n, d, restarts int, r *rand.Rand) SearchResult {
 	const maxExactN = 7
 	exact := n <= maxExactN
-	eval := func(l List) int {
-		if exact {
-			return DCont(l, d)
-		}
-		return DContEstimate(l, d, 64, r)
-	}
-
 	best := canonicalList(k, n)
-	bestCont := eval(best)
+	e := newEvaluator(best, d)
+	eval := func(l List, stop int) int {
+		e.l = l
+		if exact {
+			return e.maxOverSn(stop)
+		}
+		return e.estimate(64, r, stop)
+	}
+	bestCont := eval(best, math.MaxInt)
 	candidates := 1
+	// The search holds two lists, the best and the current candidate; a
+	// rejected candidate's storage takes the next draw.
+	cand, backing := make(List, k), make([]int, k*n)
 	for i := 0; i < restarts; i++ {
-		cand := RandomList(k, n, r)
+		for u := range cand {
+			cand[u] = RandomInto(n, r, backing[u*n:])
+		}
 		candidates++
-		if c := eval(cand); c < bestCont {
+		if c := eval(cand, bestCont); c < bestCont {
 			best, bestCont = cand, c
+			cand, backing = make(List, k), make([]int, k*n)
 		}
 	}
 	return SearchResult{List: best, Cont: bestCont, Exact: exact, Candidates: candidates}

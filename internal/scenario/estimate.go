@@ -38,11 +38,15 @@ func EstimateCellBytes(sc Scenario) int64 {
 	// ObliDo's flat scans) carry only polylog or per-word state already
 	// covered below. Charging the backing to every algorithm would veto
 	// affordable DA sweeps at large p; unknown algorithm strings keep the
-	// conservative charge.
+	// conservative charge. PaDet is charged twice: its schedule search
+	// holds two such lists at once, the best so far and the current
+	// candidate.
 	perm := p * jobs * 8
 	switch sc.Algorithm {
 	case AlgoDA, AlgoAllToAll, AlgoObliDo, AlgoPaRan2:
 		perm = 0
+	case AlgoPaDet:
+		perm *= 2
 	}
 
 	// Per-machine state, taking the larger of the PA and DA layouts: the

@@ -44,3 +44,18 @@ func TestEstimateAccountsPermutationBacking(t *testing.T) {
 		t.Fatalf("EstimateSweepBytes = %d, want ≥ 32 GiB", sweep)
 	}
 }
+
+// TestEstimateChargesPaDetSearchLists pins PaDet's extra charge: its
+// schedule search holds the best list and the current candidate, so at
+// the same shape it is charged exactly one more p·jobs·8-byte list than
+// PaRan1's single permutation backing.
+func TestEstimateChargesPaDetSearchLists(t *testing.T) {
+	for _, shape := range []Scenario{{P: 128, T: 1 << 14, D: 8}, {P: 4096, T: 1024, D: 1}} {
+		ran1, det := shape, shape
+		ran1.Algorithm, det.Algorithm = AlgoPaRan1, AlgoPaDet
+		jobs := int64(min(shape.P, shape.T))
+		if got, want := EstimateCellBytes(det)-EstimateCellBytes(ran1), int64(shape.P)*jobs*8; got != want {
+			t.Errorf("p=%d t=%d: PaDet charged %d bytes over PaRan1, want one more list of %d", shape.P, shape.T, got, want)
+		}
+	}
+}

@@ -134,10 +134,10 @@ func init() {
 		return core.NewDA(core.DAConfig{P: sc.P, T: sc.T, Q: sc.Q, Perms: l})
 	})
 	RegisterAlgorithm(AlgoPaRan1, func(sc Scenario) ([]Machine, error) {
-		return core.NewPaRan1(sc.P, sc.T, sc.Seed), nil
+		return core.NewPaRan1Sharded(sc.P, sc.T, sc.Seed, ResolveShards(sc.Shards, sc.P)), nil
 	})
 	RegisterAlgorithm(AlgoPaRan2, func(sc Scenario) ([]Machine, error) {
-		return core.NewPaRan2(sc.P, sc.T, sc.Seed), nil
+		return core.NewPaRan2Sharded(sc.P, sc.T, sc.Seed, ResolveShards(sc.Shards, sc.P)), nil
 	})
 	RegisterAlgorithm(AlgoPaDet, func(sc Scenario) ([]Machine, error) {
 		r := rand.New(rand.NewSource(sc.Seed))

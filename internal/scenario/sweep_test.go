@@ -228,19 +228,19 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestBench0CellsReproduce re-runs the cheap corner of the committed
-// BENCH_0.json grid (p=16, t=256; PaDet excluded for its schedule-search
-// cost) and requires the recorded work/messages/solved_at to reproduce
-// exactly. This is the cross-PR determinism contract: engine rewrites may
-// only move ns_per_run, never the model quantities.
+// BENCH_0.json grid (p=16, t=256, every algorithm including PaDet and its
+// schedule search) and requires the recorded work/messages/solved_at to
+// reproduce exactly. This is the cross-PR determinism contract: engine
+// rewrites may only move ns_per_run, never the model quantities.
 func TestBench0CellsReproduce(t *testing.T) {
-	assertBenchCellsReproduce(t, "BENCH_0.json", 16, 256, 9, 1)
+	assertBenchCellsReproduce(t, "BENCH_0.json", 16, 256, 12, 1)
 }
 
-// assertBenchCellsReproduce re-runs the (p, t) corner of a committed
-// baseline (PaDet excluded for its schedule-search cost) and requires
-// the recorded work/messages/solved_at to reproduce exactly. shards is
-// the intra-run shard count to replay under — recorded baselines are
-// shard-invariant, so every value must reproduce the same bytes.
+// assertBenchCellsReproduce re-runs every cell in the (p, t) corner of a
+// committed baseline and requires the recorded work/messages/solved_at to
+// reproduce exactly. shards is the intra-run shard count to replay under —
+// recorded baselines are shard-invariant, so every value must reproduce
+// the same bytes.
 func assertBenchCellsReproduce(t *testing.T, file string, p, tasks, wantChecked, shards int) {
 	t.Helper()
 	data, err := os.ReadFile("../../" + file)
@@ -254,7 +254,7 @@ func assertBenchCellsReproduce(t *testing.T, file string, p, tasks, wantChecked,
 	checked := 0
 	eng := sim.NewEngine()
 	for _, c := range rep.Cells {
-		if c.P != p || c.T != tasks || c.Algo == AlgoPaDet {
+		if c.P != p || c.T != tasks {
 			continue
 		}
 		adv := c.Adversary
@@ -282,7 +282,7 @@ func assertBenchCellsReproduce(t *testing.T, file string, p, tasks, wantChecked,
 // reproduce exactly under the versioned knowledge plane and the grouped
 // delivery engine.
 func TestBench1CellsReproduce(t *testing.T) {
-	assertBenchCellsReproduce(t, "BENCH_1.json", 64, 256, 9, 1)
+	assertBenchCellsReproduce(t, "BENCH_1.json", 64, 256, 12, 1)
 }
 
 // TestBench2CellsReproduce extends the determinism contract to the
