@@ -79,6 +79,17 @@ func TestZeroSteadyStateAllocsPA(t *testing.T) {
 	assertZeroSteadyStateAllocs(t, "PaRan1/fair", ms, adversary.NewFair(4), p, tasks)
 }
 
+// TestZeroSteadyStateAllocsPaRan2 gates PaRan2's on-line selection: each
+// draw ranks the done-set's clear bits in place instead of listing the
+// undone jobs, so PaRan2 at p=64 under the fair adversary also runs
+// allocation-free once warmed up. A reset PaRan2 re-seeds its random
+// source, so every measured run replays the warm-up trial.
+func TestZeroSteadyStateAllocsPaRan2(t *testing.T) {
+	const p, tasks = 64, 256
+	ms := doall.NewPaRan2(p, tasks, 42)
+	assertZeroSteadyStateAllocs(t, "PaRan2/fair", ms, adversary.NewFair(4), p, tasks)
+}
+
 // TestZeroSteadyStateAllocsPADelay1 repeats the PA gate at the fastest
 // legal network (d = 1), where delivery and consumption interleave every
 // unit — the densest recycling schedule.
@@ -101,11 +112,12 @@ func TestZeroSteadyStateAllocsDA(t *testing.T) {
 }
 
 // TestResetReplaysExactly pins what the allocation gates rely on: a reset
-// deterministic machine set re-run on a reused engine reproduces the
-// fresh-build Result byte for byte, trial after trial.
+// machine set (PaRan2 included: its source re-seeds) re-run on a reused
+// engine reproduces the fresh-build Result byte for byte, trial after
+// trial.
 func TestResetReplaysExactly(t *testing.T) {
 	const p, tasks = 16, 64
-	for _, algo := range []harness.Algo{harness.AlgoAllToAll, harness.AlgoObliDo, harness.AlgoDA, harness.AlgoPaRan1, harness.AlgoPaDet} {
+	for _, algo := range []harness.Algo{harness.AlgoAllToAll, harness.AlgoObliDo, harness.AlgoDA, harness.AlgoPaRan1, harness.AlgoPaRan2, harness.AlgoPaDet} {
 		spec := harness.Spec{Algo: algo, P: p, T: tasks, D: 3, Seed: 5}
 		fresh, err := harness.Execute(spec)
 		if err != nil {

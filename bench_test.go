@@ -385,8 +385,21 @@ func BenchmarkNewPaRan1P4096(b *testing.B) {
 // adversary on one warmed reusable engine — the grouped delivery path
 // and the versioned knowledge plane end to end, still at 0 allocs/op.
 func BenchmarkEngineSteadyStatePA1024(b *testing.B) {
+	benchSteadyState1024(b, doall.NewPaRan1(1024, 65536, 42))
+}
+
+// BenchmarkEngineSteadyStatePaRan2_1024 is the same shape for PaRan2,
+// whose per-selection uniform draw over the undone jobs is a popcount
+// rank/select over the done-set's words. Its reset machines re-seed
+// their random sources, so each iteration replays the same trial.
+func BenchmarkEngineSteadyStatePaRan2_1024(b *testing.B) {
+	benchSteadyState1024(b, doall.NewPaRan2(1024, 65536, 42))
+}
+
+// benchSteadyState1024 times whole re-runs of ms (p=1024, t=65536, fair,
+// d=8) on one warmed reusable engine, machines reset in place.
+func benchSteadyState1024(b *testing.B, ms []sim.Machine) {
 	const p, t, d = 1024, 65536, 8
-	ms := doall.NewPaRan1(p, t, 42)
 	adv := adversary.NewFair(d)
 	eng := sim.NewEngine()
 	// Pool and slice capacities converge over the first few runs at this
@@ -404,7 +417,7 @@ func BenchmarkEngineSteadyStatePA1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !sim.ResetMachines(ms) {
-			b.Fatal("PaRan1 machines must be resettable")
+			b.Fatal("machines must be resettable")
 		}
 		res, err := eng.Run(sim.Config{P: p, T: t}, ms, adv)
 		if err != nil {

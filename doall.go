@@ -70,7 +70,8 @@ type (
 	// Delivery is one delivered message: a two-word reference into the
 	// Multicast record shared by every recipient of a broadcast.
 	Delivery = sim.Delivery
-	// Multicast is one broadcast stored once regardless of recipient count.
+	// Multicast is one broadcast stored once regardless of recipient
+	// count; a broadcast's recipients are every processor but the sender.
 	Multicast = sim.Multicast
 	// StepResult reports what one local step performed (StepResult.Perform
 	// / PerformedTask), broadcast, and whether the processor voluntarily

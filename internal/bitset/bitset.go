@@ -151,46 +151,80 @@ func (s *Set) ToBools() []bool {
 	return out
 }
 
-// NextSet returns the index of the first set bit at or after from, or -1
-// if none. Iterating set bits with NextSet costs O(words), not O(n):
-//
-//	for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) { ... }
-func (s *Set) NextSet(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= s.n {
+// NthClear returns the index of the k-th clear bit (0-based, lowest index
+// first), or -1 if k < 0 or fewer than k+1 bits are clear. It ranks whole
+// words by popcount and selects within the one that holds the answer, so
+// it costs O(words) and allocates nothing.
+func (s *Set) NthClear(k int) int {
+	if k < 0 {
 		return -1
 	}
-	wi := from >> 6
-	if w := s.words[wi] >> (uint(from) & 63); w != 0 {
-		return from + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if w := s.words[wi]; w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
+	for wi, w := range s.words {
+		c := ^w
+		if wi == len(s.words)-1 && s.n%64 != 0 {
+			c &= 1<<(uint(s.n)%64) - 1 // clear bits past n are not bits
 		}
+		if n := bits.OnesCount64(c); k >= n {
+			k -= n
+			continue
+		}
+		return wi<<6 + selectBit(c, k)
 	}
 	return -1
 }
 
-// NextClear returns the index of the first clear bit at or after from, or
-// -1 if none.
-func (s *Set) NextClear(from int) int {
-	if from < 0 {
-		from = 0
+// selectBit returns the position of the k-th set bit of x (0-based);
+// x must have more than k set bits. It narrows by halves, then clears
+// the low set bits left in the final byte.
+func selectBit(x uint64, k int) int {
+	pos := 0
+	if n := bits.OnesCount32(uint32(x)); k >= n {
+		k -= n
+		x >>= 32
+		pos += 32
 	}
-	for i := from; i < s.n; i++ {
-		w := s.words[i>>6]
-		if w == ^uint64(0) { // word full: skip it
-			i |= 63
-			continue
-		}
-		if w&(1<<(uint(i)&63)) == 0 {
-			return i
+	if n := bits.OnesCount16(uint16(x)); k >= n {
+		k -= n
+		x >>= 16
+		pos += 16
+	}
+	if n := bits.OnesCount8(uint8(x)); k >= n {
+		k -= n
+		x >>= 8
+		pos += 8
+	}
+	for ; k > 0; k-- {
+		x &= x - 1
+	}
+	return pos + bits.TrailingZeros64(x)
+}
+
+// AllSet reports whether every bit in [from, from+n) is set; an empty
+// window (n ≤ 0) is vacuously all set. It tests the window a masked word
+// at a time, for any n. The window must lie within [0, Len()).
+func (s *Set) AllSet(from, n int) bool {
+	if n <= 0 {
+		return true
+	}
+	end := from + n - 1 // last bit of the window
+	s.check(from)
+	s.check(end)
+	wi, last := from>>6, end>>6
+	lo := ^uint64(0) << (uint(from) & 63)
+	hi := ^uint64(0) >> (63 - uint(end)&63)
+	if wi == last {
+		m := lo & hi
+		return s.words[wi]&m == m
+	}
+	if s.words[wi]&lo != lo {
+		return false
+	}
+	for wi++; wi < last; wi++ {
+		if s.words[wi] != ^uint64(0) {
+			return false
 		}
 	}
-	return -1
+	return s.words[last]&hi == hi
 }
 
 // Words exposes the raw backing words for serialization. The final word's

@@ -124,30 +124,6 @@ func TestFromToBools(t *testing.T) {
 	}
 }
 
-func TestNextClear(t *testing.T) {
-	s := New(130)
-	if got := s.NextClear(0); got != 0 {
-		t.Fatalf("NextClear(0) = %d, want 0", got)
-	}
-	for i := 0; i < 128; i++ {
-		s.Set(i)
-	}
-	if got := s.NextClear(0); got != 128 {
-		t.Fatalf("NextClear(0) = %d, want 128 (skips two full words)", got)
-	}
-	if got := s.NextClear(129); got != 129 {
-		t.Fatalf("NextClear(129) = %d, want 129", got)
-	}
-	s.Set(128)
-	s.Set(129)
-	if got := s.NextClear(0); got != -1 {
-		t.Fatalf("NextClear on full set = %d, want -1", got)
-	}
-	if got := s.NextClear(-5); got != -1 {
-		t.Fatalf("NextClear(-5) on full set = %d, want -1", got)
-	}
-}
-
 func TestSetWordsMasksTail(t *testing.T) {
 	s := New(5)
 	s.SetWords([]uint64{^uint64(0)}) // all 64 bits, but only 5 valid
@@ -208,31 +184,95 @@ func TestQuickCount(t *testing.T) {
 	}
 }
 
-func TestNextSet(t *testing.T) {
-	s := New(200)
-	if got := s.NextSet(0); got != -1 {
-		t.Fatalf("NextSet on empty set = %d, want -1", got)
-	}
-	for _, i := range []int{0, 63, 64, 130, 199} {
-		s.Set(i)
-	}
-	var got []int
-	for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) {
-		got = append(got, i)
-	}
-	want := []int{0, 63, 64, 130, 199}
-	if len(got) != len(want) {
-		t.Fatalf("iterated %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("iterated %v, want %v", got, want)
+// randomFill sets each bit of s independently with probability density.
+func randomFill(s *Set, r *rand.Rand, density float64) {
+	for i := 0; i < s.Len(); i++ {
+		if r.Float64() < density {
+			s.Set(i)
 		}
 	}
-	if s.NextSet(200) != -1 || s.NextSet(-5) != 0 {
-		t.Fatal("boundary handling wrong")
+}
+
+// TestNthClearMatchesEnumeration checks the rank/select kernel against a
+// naive enumeration of clear bits, for every length in [0, 300] (so every
+// tail width), densities from empty to full, and every rank from -1 to
+// one past the last clear bit.
+func TestNthClearMatchesEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n <= 300; n++ {
+		for _, density := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+			s := New(n)
+			randomFill(s, r, density)
+			var clear []int
+			for i := 0; i < n; i++ {
+				if !s.Get(i) {
+					clear = append(clear, i)
+				}
+			}
+			for k := -1; k <= len(clear)+1; k++ {
+				want := -1
+				if k >= 0 && k < len(clear) {
+					want = clear[k]
+				}
+				if got := s.NthClear(k); got != want {
+					t.Fatalf("n=%d density=%v: NthClear(%d) = %d, want %d (set %s)", n, density, k, got, want, s)
+				}
+			}
+		}
 	}
-	if got := s.NextSet(65); got != 130 {
-		t.Fatalf("NextSet(65) = %d, want 130", got)
+}
+
+// TestAllSetMatchesPerBit checks the masked window test against a per-bit
+// loop for every window of up to 200 bits in a 320-bit set, so windows
+// start at every offset and cross zero to three word boundaries; the sets
+// are mostly full so that long all-set windows occur.
+func TestAllSetMatchesPerBit(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	const size = 320
+	crossings := map[int]bool{}
+	for trial := 0; trial < 8; trial++ {
+		s := New(size)
+		for i := 0; i < size; i++ {
+			s.Set(i)
+		}
+		for c := 0; c < trial; c++ {
+			s.Clear(r.Intn(size))
+		}
+		for from := 0; from < size; from++ {
+			for n := 0; n <= 200 && from+n <= size; n++ {
+				want := true
+				for i := from; i < from+n; i++ {
+					want = want && s.Get(i)
+				}
+				if got := s.AllSet(from, n); got != want {
+					t.Fatalf("trial %d: AllSet(%d, %d) = %v, want %v", trial, from, n, got, want)
+				}
+				if n > 0 {
+					crossings[(from+n-1)/64-from/64] = true
+				}
+			}
+		}
+	}
+	for c := 0; c <= 3; c++ {
+		if !crossings[c] {
+			t.Errorf("no window crossed %d word boundaries", c)
+		}
+	}
+}
+
+func TestAllSetOutOfRangePanics(t *testing.T) {
+	s := New(100)
+	for _, w := range [][2]int{{-1, 2}, {99, 2}, {100, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AllSet(%d, %d) did not panic", w[0], w[1])
+				}
+			}()
+			s.AllSet(w[0], w[1])
+		}()
+	}
+	if !s.AllSet(100, 0) || !s.AllSet(-5, 0) {
+		t.Fatal("empty windows must be vacuously all set")
 	}
 }

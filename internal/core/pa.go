@@ -57,8 +57,11 @@ type selector interface {
 	// clone returns a deep copy, or nil if the selector is not cloneable
 	// (PaRan2's on-line randomness).
 	clone() selector
-	// reset restores the selector's initial position for a fresh trial.
-	reset()
+	// reset restores the selector's initial position. With replay the
+	// selector's randomness restarts from its seed as well (Reset: the
+	// trial replays); without it the random stream continues (Rejoin: a
+	// restarted processor keeps drawing fresh choices).
+	reset(replay bool)
 }
 
 var (
@@ -92,37 +95,45 @@ func (s *permSelector) clone() selector {
 	return &c
 }
 
-func (s *permSelector) reset() { s.pos = 0 }
+func (s *permSelector) reset(bool) { s.pos = 0 }
 
 // randSelector draws uniformly among not-known-done jobs (PaRan2). It
 // commits to its next draw so that an adaptive adversary may observe it
-// (sim.TaskIntender), exactly the knowledge model of Theorem 3.4.
+// (sim.TaskIntender), exactly the knowledge model of Theorem 3.4. A draw
+// picks a rank k uniformly below the number of undone jobs and selects the
+// k-th clear bit of the done-set: two passes over its words (a popcount
+// and a rank/select), no allocation, and the same job the k-th entry of
+// an ascending list of undone jobs would name.
 type randSelector struct {
 	rng       *rand.Rand
-	committed int // -1 when no commitment
+	seed      int64 // rng's source seed, restored by a replaying reset
+	committed int   // -1 when no commitment
 }
 
 func (s *randSelector) next(done *bitset.Set) int {
 	if s.committed >= 0 && !done.Get(s.committed) {
 		return s.committed
 	}
-	var undone []int
-	for j := done.NextClear(0); j >= 0; j = done.NextClear(j + 1) {
-		undone = append(undone, j)
-	}
-	if len(undone) == 0 {
+	n := done.Len() - done.Count()
+	if n == 0 {
 		s.committed = -1
 		return -1
 	}
-	s.committed = undone[s.rng.Intn(len(undone))]
+	s.committed = done.NthClear(s.rng.Intn(n))
 	return s.committed
 }
 
 func (s *randSelector) clone() selector { return nil }
 
-// reset drops the commitment; the random stream continues, so a reset
-// PaRan2 runs a fresh trial rather than a replay.
-func (s *randSelector) reset() { s.committed = -1 }
+// reset drops the commitment and, with replay, re-seeds the source:
+// Seed fully reinitializes it, so the stream restarts exactly as a fresh
+// rand.NewSource(seed) would.
+func (s *randSelector) reset(replay bool) {
+	if replay {
+		s.rng.Seed(s.seed)
+	}
+	s.committed = -1
+}
 
 // NewPaRan1 builds the p machines of algorithm PaRan1 for t tasks; each
 // processor draws its job permutation from a rand source seeded with
@@ -171,7 +182,7 @@ func NewPaRan2Sharded(p, t int, seed int64, shards int) []sim.Machine {
 	fanOut(p, shards, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := rand.New(rand.NewSource(seed + int64(i)))
-			ms[i] = newPA(i, p, jobs, &randSelector{rng: r, committed: -1})
+			ms[i] = newPA(i, p, jobs, &randSelector{rng: r, seed: seed + int64(i), committed: -1})
 		}
 	})
 	return ms
@@ -442,13 +453,13 @@ func (m *PA) CloneMachine() sim.Machine {
 
 // Reset implements sim.Resetter: the machine returns to its initial state
 // without allocating (the snapshot and accumulator pools are kept).
-// PaRan1 and PaDet replay the exact same schedule; PaRan2's random stream
-// continues, so a reset machine runs a fresh trial.
+// Every member replays its first trial exactly: PaRan1 and PaDet restart
+// their schedules, PaRan2 re-seeds its random source.
 func (m *PA) Reset() {
 	m.done.Reset()
 	m.mg.Reset()
 	m.remain = m.jobs.N
-	m.selector.reset()
+	m.selector.reset(true)
 	m.cur = -1
 	m.unit = 0
 	m.halted = false
@@ -462,12 +473,13 @@ func (m *PA) Reset() {
 // receivers' stale cursors fall back to full merges. The machine's own
 // per-sender cursors are zeroed (its knowledge is gone, so every peer
 // must be re-merged from the base), and the permutation position is
-// re-seeded deterministically via the selector's reset.
+// re-seeded deterministically via the selector's reset; PaRan2's random
+// stream continues.
 func (m *PA) Rejoin() {
 	m.done.Rejoin()
 	m.mg.Reset()
 	m.remain = m.jobs.N
-	m.selector.reset()
+	m.selector.reset(false)
 	m.cur = -1
 	m.unit = 0
 	m.halted = false

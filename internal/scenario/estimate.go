@@ -33,10 +33,10 @@ func EstimateCellBytes(sc Scenario) int64 {
 	// Schedule-permutation backing, the PA-family's dominant term: PaRan1
 	// and PaDet materialize one int per (processor, job) into a single
 	// shared backing array — p·jobs·8 bytes, 32 GiB at p = 65536 — while
-	// PaRan2 draws its permutation lazily from a seeded selector and the
-	// non-permutation algorithms (DA's digit/stack walk, AllToAll's and
-	// ObliDo's flat scans) carry only polylog or per-word state already
-	// covered below. Charging the backing to every algorithm would veto
+	// PaRan2 holds no permutation (each selection draws uniformly from the
+	// jobs its done-set leaves undone) and the non-permutation algorithms
+	// (DA's digit/stack walk, AllToAll's and ObliDo's flat scans) carry
+	// only polylog or per-word state already covered below. Charging the backing to every algorithm would veto
 	// affordable DA sweeps at large p; unknown algorithm strings keep the
 	// conservative charge. PaDet is charged twice: its schedule search
 	// holds two such lists at once, the best so far and the current

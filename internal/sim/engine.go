@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-
-	"doall/internal/bitset"
 )
 
 // Run executes machines under the adversary and returns the measured
@@ -85,7 +83,6 @@ type Engine struct {
 	// freeMC pools Multicast records across broadcasts and runs; a record
 	// returns here once its last outstanding delivery is consumed.
 	freeMC   []*Multicast
-	allBut   []*bitset.Set // lazily built all-but-sender recipient sets
 	idle     bool
 	nextWake int64
 
@@ -256,7 +253,6 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 		e.batchers = make([]BatchConsumer, p)
 		e.cbuilders = make([]CombinedBuilder, p)
 		e.cursor = make([]int64, p)
-		e.allBut = make([]*bitset.Set, p)
 	} else {
 		for i := range e.inbox {
 			// Unconsumed deliveries from the previous run: drop the
@@ -267,7 +263,6 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 		}
 		clear(e.crashed)
 		clear(e.halted)
-		// allBut depends only on p; keep the cached sets.
 	}
 	if e.tasks == nil {
 		e.tasks = NewTaskLedger(t)
@@ -360,7 +355,6 @@ func (e *Engine) getMC(i int, now int64, payload any, outstanding int32) *Multic
 	mc.From = i
 	mc.SentAt = now
 	mc.Payload = payload
-	mc.Recipients = nil
 	mc.outstanding = outstanding
 	return mc
 }
@@ -381,7 +375,6 @@ func (e *Engine) recycleMC(mc *Multicast) {
 		rc.RecyclePayload(mc.Payload)
 	}
 	mc.Payload = nil
-	mc.Recipients = nil
 	mc.outstanding = 0
 	e.freeMC = append(e.freeMC, mc)
 }
@@ -446,20 +439,6 @@ func (e *Engine) dropBatches(i int) {
 	e.popRetired()
 }
 
-// allButSet returns the cached recipient set {0..P-1} \ {i}.
-func (e *Engine) allButSet(i int) *bitset.Set {
-	if e.allBut[i] == nil {
-		s := bitset.New(e.cfg.P)
-		for j := 0; j < e.cfg.P; j++ {
-			if j != i {
-				s.Set(j)
-			}
-		}
-		e.allBut[i] = s
-	}
-	return e.allBut[i]
-}
-
 // deliverBucket routes one timing-wheel bucket's events. On the grouped
 // path a bucket of only uniform multicasts becomes one shared Batch —
 // O(multicasts) work regardless of p; a bucket containing any
@@ -514,14 +493,13 @@ func (e *Engine) deliver(ev wevent, at int64) {
 		e.deliverOne(mc, int(ev.to), at)
 		return
 	}
+	// A uniform event is a broadcast: its recipients are every processor
+	// but the sender, fanned out in ascending id order.
 	e.inflight -= e.cfg.P - 1
+	from := mc.From
 	if e.stopped == 0 && e.obs == nil {
 		// Fast path for the common benign case: every processor is live,
-		// no observer — fan the uniform multicast out with no per-
-		// recipient liveness checks or hook branches. mc.Recipients for a
-		// broadcast is always all-but-sender, so the set membership test
-		// reduces to skipping the sender.
-		from := mc.From
+		// no observer — no per-recipient liveness checks or hook branches.
 		for j := range e.inbox {
 			if j != from {
 				e.inbox[j] = append(e.inbox[j], Delivery{MC: mc, At: at})
@@ -529,9 +507,10 @@ func (e *Engine) deliver(ev wevent, at int64) {
 		}
 		return
 	}
-	r := mc.Recipients
-	for j := r.NextSet(0); j >= 0; j = r.NextSet(j + 1) {
-		e.deliverOne(mc, j, at)
+	for j := range e.inbox {
+		if j != from {
+			e.deliverOne(mc, j, at)
+		}
 	}
 }
 
@@ -927,7 +906,6 @@ func (e *Engine) broadcast(i int, now int64, payload any) {
 			if dl < 1 || dl > e.d {
 				panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", dl, e.d))
 			}
-			mc.Recipients = e.allButSet(i)
 			e.wheel.push(wevent{mc: mc, to: -1}, now+dl)
 			e.finishMulticast(i, now, payload, p-1)
 			return
@@ -960,7 +938,6 @@ func (e *Engine) broadcast(i int, now int64, payload any) {
 		}
 	}
 	if uniform {
-		mc.Recipients = e.allButSet(i)
 		e.wheel.push(wevent{mc: mc, to: -1}, now+first)
 	} else {
 		for j := 0; j < p; j++ {

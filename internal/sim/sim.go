@@ -25,11 +25,7 @@
 // allocations per simulated step and per multicast.
 package sim
 
-import (
-	"errors"
-
-	"doall/internal/bitset"
-)
+import "errors"
 
 // Message is a fully materialized point-to-point message. The hot path
 // never builds one — inboxes hold Delivery references into shared
@@ -51,11 +47,12 @@ type Message struct {
 }
 
 // Multicast is one broadcast stored once, regardless of recipient count.
-// Recipients receive Delivery references into the record, so a broadcast
-// costs O(1) stored state instead of p-1 message copies. The engine pools
-// Multicast records: once every recipient has consumed (or missed) its
-// delivery the record is recycled, so steady-state broadcasts allocate
-// nothing.
+// A broadcast's recipients are every processor but the sender (a
+// point-to-point Send travels in a record of its own with one recipient);
+// they receive Delivery references into the record, so a broadcast costs
+// O(1) stored state instead of p-1 message copies. The engine pools Multicast
+// records: once every recipient has consumed (or missed) its delivery the
+// record is recycled, so steady-state broadcasts allocate nothing.
 type Multicast struct {
 	// From is the sender's processor id.
 	From int
@@ -63,12 +60,6 @@ type Multicast struct {
 	SentAt int64
 	// Payload is the shared, immutable content.
 	Payload any
-	// Recipients is the recipient set for uniform-delay multicasts (every
-	// recipient shares one delivery time, so one timing-wheel event covers
-	// the whole set). It is nil when the adversary assigned non-uniform
-	// delays and the multicast was scheduled per recipient, and for
-	// point-to-point sends.
-	Recipients *bitset.Set
 	// outstanding counts deliveries not yet consumed or dropped; when it
 	// reaches zero the engine recycles the record (and hands the payload
 	// back to the sender if it implements PayloadRecycler). Only the
@@ -193,9 +184,9 @@ type Cloner interface {
 
 // Resetter is an optional Machine extension restoring a machine to its
 // initial, pre-execution state without reallocating, so trial loops and
-// the allocation gates can reuse one machine set. Deterministic machines
-// replay the exact same execution after Reset; machines drawing from a
-// live random stream (PaRan2) start a fresh trial instead of a replay.
+// the allocation gates can reuse one machine set. A reset machine replays
+// the exact same execution; machines drawing from a random stream (PaRan2)
+// re-seed it.
 type Resetter interface {
 	Reset()
 }

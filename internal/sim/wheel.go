@@ -1,12 +1,12 @@
 package sim
 
 // wevent is one timing-wheel entry: either a single-recipient delivery
-// (to ≥ 0) or a whole uniform-delay multicast (to < 0, recipients in
-// mc.Recipients). Grouping a uniform multicast into one event is what
-// makes a broadcast O(1) queue work instead of O(p).
+// (to ≥ 0) or a whole uniform-delay multicast (to < 0, delivered to every
+// processor but mc.From). Grouping a uniform multicast into one event is
+// what makes a broadcast O(1) queue work instead of O(p).
 type wevent struct {
 	mc *Multicast
-	to int32 // recipient id, or -1 for mc.Recipients
+	to int32 // recipient id, or -1 for every processor but mc.From
 }
 
 // wheel is a bucketed timing wheel holding in-flight deliveries keyed on

@@ -185,26 +185,22 @@ func (t *Tree) MarkLeaf(i int) {
 }
 
 // propagate walks from node n to the root, marking each node whose
-// children are all done, stopping early when a node stays unset.
+// children are all done, stopping early when a node stays unset. Each
+// level costs one masked word-window test over the q child bits —
+// O(1 + q/64) word operations — so a closure walk is O(height·(1 + q/64)).
 func (t *Tree) propagate(n int) {
 	for n >= 0 {
-		if t.done.Get(n) {
-			return
-		}
-		all := true
-		for c := 0; c < t.q; c++ {
-			if !t.done.Get(t.Child(n, c)) {
-				all = false
-				break
-			}
-		}
-		if !all {
+		if t.done.Get(n) || !t.childrenDone(n) {
 			return
 		}
 		t.setBit(n)
 		n = t.Parent(n)
 	}
 }
+
+// childrenDone reports whether all q children of interior node n — the
+// contiguous bits q·n+1 … q·n+q — are done.
+func (t *Tree) childrenDone(n int) bool { return t.done.AllSet(t.q*n+1, t.q) }
 
 // PropagateUp restores the interior-closure invariant upward from node n
 // after n was externally marked (a merged snapshot bit): each ancestor
@@ -257,17 +253,7 @@ func (t *Tree) MergeBits(bits []bool) {
 func (t *Tree) recompute() {
 	firstLeaf := t.size - t.leaves
 	for n := firstLeaf - 1; n >= 0; n-- {
-		if t.done.Get(n) {
-			continue
-		}
-		all := true
-		for c := 0; c < t.q; c++ {
-			if !t.done.Get(t.Child(n, c)) {
-				all = false
-				break
-			}
-		}
-		if all {
+		if !t.done.Get(n) && t.childrenDone(n) {
 			t.setBit(n)
 		}
 	}

@@ -217,8 +217,8 @@ func TestCountDoneLeaves(t *testing.T) {
 func TestQuickMarkInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	f := func(qRaw, hRaw uint8, seed int64) bool {
-		q := int(qRaw%3) + 2  // 2..4
-		h := int(hRaw%3) + 1  // 1..3
+		q := int(qRaw%3) + 2 // 2..4
+		h := int(hRaw%3) + 1 // 1..3
 		tr := New(q, h)
 		rr := rand.New(rand.NewSource(seed))
 		order := rr.Perm(tr.Leaves())
@@ -332,5 +332,110 @@ func TestPropagateUpEqualsRecompute(t *testing.T) {
 	}
 	if !tr.Done(tr.Child(tr.Root(), 0)) {
 		t.Fatal("left subtree not closed by propagation")
+	}
+}
+
+// refTree is the closure reference: node bits as a []bool and the
+// per-child loop the word-window kernel replaced.
+type refTree struct {
+	q, size, firstLeaf int
+	done               []bool
+}
+
+func (r *refTree) childrenDone(n int) bool {
+	for c := 0; c < r.q; c++ {
+		if !r.done[r.q*n+1+c] {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refTree) parent(n int) int {
+	if n == 0 {
+		return -1
+	}
+	return (n - 1) / r.q
+}
+
+func (r *refTree) propagate(n int) {
+	for n >= 0 && !r.done[n] && r.childrenDone(n) {
+		r.done[n] = true
+		n = r.parent(n)
+	}
+}
+
+func (r *refTree) recompute() {
+	for n := r.firstLeaf - 1; n >= 0; n-- {
+		if !r.done[n] && r.childrenDone(n) {
+			r.done[n] = true
+		}
+	}
+}
+
+func (r *refTree) equal(t *Tree) bool {
+	for n, v := range r.done {
+		if t.Done(n) != v {
+			return false
+		}
+	}
+	return true
+}
+
+// TestClosureMatchesPerChildLoop drives the word-window closure kernel and
+// the per-child reference loop through the same leaf marks, delta-style
+// node marks with PropagateUp, and raw-bit merges, and requires identical
+// node bits after every operation. Arities 64 and 65 make a node's child
+// window span one and two words; 2, 3 and 7 keep it inside one.
+func TestClosureMatchesPerChildLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, q := range []int{2, 3, 7, 64, 65} {
+		h := 3
+		if q >= 64 {
+			h = 2
+		}
+		for trial := 0; trial < 4; trial++ {
+			tr := NewVersioned(q, h)
+			ref := &refTree{q: q, size: tr.Size(), firstLeaf: tr.Size() - tr.Leaves(), done: make([]bool, tr.Size())}
+			// Mark leaves in random order; occasionally mark an interior
+			// node directly (a merged snapshot bit) and propagate from it.
+			for _, i := range r.Perm(tr.Leaves()) {
+				if r.Intn(8) == 0 {
+					n := r.Intn(ref.firstLeaf)
+					tr.Mark(n)
+					tr.PropagateUp(n)
+					ref.done[n] = true
+					ref.propagate(ref.parent(n))
+				} else {
+					tr.MarkLeaf(i)
+					n := tr.LeafNode(i)
+					ref.done[n] = true
+					ref.propagate(ref.parent(n))
+				}
+				if !ref.equal(tr) {
+					t.Fatalf("q=%d trial %d: closure diverged from the per-child loop", q, trial)
+				}
+			}
+			// Merge raw leaf bits into a fresh tree — every leaf under
+			// even-numbered parents, most of the others — so closures occur
+			// at every arity; the bottom-up recompute must agree too.
+			fresh := New(q, h)
+			raw := bitset.New(fresh.Size())
+			ref = &refTree{q: q, size: fresh.Size(), firstLeaf: fresh.Size() - fresh.Leaves(), done: make([]bool, fresh.Size())}
+			for n := 0; n < fresh.Size(); n++ {
+				if n >= ref.firstLeaf && (ref.parent(n)%2 == 0 || r.Intn(20) != 0) {
+					raw.Set(n)
+					ref.done[n] = true
+				}
+			}
+			fresh.MergeSet(raw)
+			ref.recompute()
+			if !ref.equal(fresh) {
+				t.Fatalf("q=%d trial %d: recompute diverged from the per-child loop", q, trial)
+			}
+			if fresh.CheckInvariant() != -1 {
+				t.Fatalf("q=%d trial %d: recompute left the invariant broken", q, trial)
+			}
+		}
 	}
 }
