@@ -168,35 +168,12 @@ func (s *Set) NthClear(k int) int {
 			k -= n
 			continue
 		}
-		return wi<<6 + selectBit(c, k)
+		for ; k > 0; k-- {
+			c &= c - 1 // drop the lowest clear bit
+		}
+		return wi<<6 + bits.TrailingZeros64(c)
 	}
 	return -1
-}
-
-// selectBit returns the position of the k-th set bit of x (0-based);
-// x must have more than k set bits. It narrows by halves, then clears
-// the low set bits left in the final byte.
-func selectBit(x uint64, k int) int {
-	pos := 0
-	if n := bits.OnesCount32(uint32(x)); k >= n {
-		k -= n
-		x >>= 32
-		pos += 32
-	}
-	if n := bits.OnesCount16(uint16(x)); k >= n {
-		k -= n
-		x >>= 16
-		pos += 16
-	}
-	if n := bits.OnesCount8(uint8(x)); k >= n {
-		k -= n
-		x >>= 8
-		pos += 8
-	}
-	for ; k > 0; k-- {
-		x &= x - 1
-	}
-	return pos + bits.TrailingZeros64(x)
 }
 
 // AllSet reports whether every bit in [from, from+n) is set; an empty
