@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -23,9 +24,7 @@ func kernelDigest(r *sim.Result) string {
 
 func hashInt(h hash.Hash64, v int64) {
 	var b [8]byte
-	for i := range b {
-		b[i] = byte(uint64(v) >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], uint64(v))
 	h.Write(b[:])
 }
 

@@ -205,8 +205,9 @@ func (t *Tree) childrenDone(n int) bool { return t.done.AllSet(t.q*n+1, t.q) }
 // PropagateUp restores the interior-closure invariant upward from node n
 // after n was externally marked (a merged snapshot bit): each ancestor
 // whose children are now all done is marked, stopping at the first that
-// is not. Cost is O(q·height) worst case but stops early, so applying a
-// delta costs new-knowledge work, unlike the O(size) full recompute.
+// is not. Cost is propagate's O(height·(1 + q/64)) worst case but stops
+// early, so applying a delta costs new-knowledge work, unlike the full
+// recompute's pass over every interior node.
 func (t *Tree) PropagateUp(n int) { t.propagate(t.Parent(n)) }
 
 // Merge ORs the other tree's bits into t and then restores the invariant
