@@ -1,4 +1,5 @@
-// Benchmarks regenerating every experiment in DESIGN.md's index (E1–E10).
+// Benchmarks regenerating every experiment in the E1–E10 index
+// (AllExperiments in internal/harness/experiments.go).
 // Each benchmark runs its experiment's workload and reports the measured
 // work (and where meaningful, messages) as custom metrics, so
 // `go test -bench=. -benchmem` reproduces the paper's evaluation shape:

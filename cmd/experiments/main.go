@@ -1,11 +1,11 @@
-// Command experiments regenerates every experiment in DESIGN.md's index
-// (E1–E10) and prints the result tables, optionally as Markdown for
-// EXPERIMENTS.md.
+// Command experiments regenerates every experiment in the E1–E10 index
+// (AllExperiments in internal/harness/experiments.go) and prints the
+// result tables, optionally as Markdown.
 //
 // Usage:
 //
 //	experiments                  # quick scale, plain text
-//	experiments -scale full      # the sizes used in EXPERIMENTS.md
+//	experiments -scale full      # full-scale sizes
 //	experiments -markdown        # Markdown output
 //	experiments -only E5,E6      # subset
 //

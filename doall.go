@@ -162,13 +162,6 @@ func ResetSimMachines(machines []Machine) bool { return sim.ResetMachines(machin
 // extension (false when any machine is not cloneable, e.g. PaRan2).
 func CloneSimMachines(machines []Machine) ([]Machine, bool) { return sim.CloneMachines(machines) }
 
-// SimulateLegacy runs the original per-message reference engine. It is
-// kept for equivalence checking and engine benchmarking; Results are
-// identical to Simulate's on every algorithm × adversary pair.
-func SimulateLegacy(cfg SimConfig, machines []Machine, adv Adversary) (*Result, error) {
-	return sim.RunLegacy(cfg, machines, adv)
-}
-
 // Execute runs machines on real goroutines with delayed channels; cfg.Task
 // is invoked for every performed task id.
 func Execute(cfg RunConfig, machines []Machine) (*RunReport, error) {

@@ -59,10 +59,6 @@ func (a *Fair) DelayMulticast(from int, sentAt int64, out []int64) {
 	}
 }
 
-// InboxAgnostic implements sim.InboxAgnostic: Fair never reads
-// View.Inboxes, so the engine may run its grouped delivery path.
-func (a *Fair) InboxAgnostic() bool { return true }
-
 // DelayUniform implements sim.UniformDelayer: the fixed delay never
 // depends on the recipient.
 func (a *Fair) DelayUniform(from int, sentAt int64) (int64, bool) {
@@ -96,10 +92,6 @@ func (a *Random) D() int64 { return a.Bound }
 
 // Schedule implements sim.Adversary. To keep executions live it activates
 // at least one non-crashed, non-halted processor each unit.
-// InboxAgnostic implements sim.InboxAgnostic: Random's scheduling and
-// delays never read View.Inboxes.
-func (a *Random) InboxAgnostic() bool { return true }
-
 func (a *Random) Schedule(v *sim.View, dec *sim.Decision) {
 	for i := 0; i < v.P; i++ {
 		if v.Crashed[i] || v.Halted[i] {
@@ -156,7 +148,6 @@ var (
 	_ sim.Adversary        = (*Crashing)(nil)
 	_ sim.MulticastDelayer = (*Crashing)(nil)
 	_ sim.UniformDelayer   = (*Crashing)(nil)
-	_ sim.InboxAgnostic    = (*Crashing)(nil)
 	_ sim.Omitter          = (*Crashing)(nil)
 )
 
@@ -222,10 +213,6 @@ func (a *SlowSet) D() int64 { return a.Bound }
 // Schedule implements sim.Adversary. When every processor is in the slow
 // set and off-period (nothing can step), the decision carries a NextWake
 // promise so the engine fast-forwards to the next period boundary.
-// InboxAgnostic implements sim.InboxAgnostic: SlowSet never reads
-// View.Inboxes.
-func (a *SlowSet) InboxAgnostic() bool { return true }
-
 func (a *SlowSet) Schedule(v *sim.View, dec *sim.Decision) {
 	for i := 0; i < v.P; i++ {
 		if a.Slow[i] && v.Now%a.Period != 0 {
@@ -277,7 +264,6 @@ var (
 	_ sim.Adversary        = (*SlowSetOver)(nil)
 	_ sim.MulticastDelayer = (*SlowSetOver)(nil)
 	_ sim.UniformDelayer   = (*SlowSetOver)(nil)
-	_ sim.InboxAgnostic    = (*SlowSetOver)(nil)
 	_ sim.Omitter          = (*SlowSetOver)(nil)
 )
 

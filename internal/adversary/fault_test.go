@@ -251,9 +251,6 @@ func TestFaultCombinatorsForwardExtensions(t *testing.T) {
 		"restarting": NewRestarting(fair, nil),
 		"omitting":   NewOmitting(fair, nil, nil),
 	} {
-		if ia, ok := adv.(sim.InboxAgnostic); !ok || !ia.InboxAgnostic() {
-			t.Errorf("%s(fair): not inbox-agnostic", name)
-		}
 		ud, ok := adv.(sim.UniformDelayer)
 		if !ok {
 			t.Fatalf("%s: no UniformDelayer", name)

@@ -74,13 +74,6 @@ func (f forwardInner) DelayUniform(from int, sentAt int64) (int64, bool) {
 	return 0, false
 }
 
-// InboxAgnostic implements sim.InboxAgnostic, forwarding the question
-// to the wrapped adversary (asked once per run, so no caching needed).
-func (f forwardInner) InboxAgnostic() bool {
-	ia, ok := f.Inner.(sim.InboxAgnostic)
-	return ok && ia.InboxAgnostic()
-}
-
 // OmitsAt implements sim.Omitter, forwarding to the wrapped adversary.
 func (f forwardInner) OmitsAt(from int, sentAt int64) bool {
 	return f.om != nil && f.om.OmitsAt(from, sentAt)

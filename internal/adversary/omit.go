@@ -36,7 +36,6 @@ var (
 	_ sim.Adversary        = (*Omitting)(nil)
 	_ sim.MulticastDelayer = (*Omitting)(nil)
 	_ sim.UniformDelayer   = (*Omitting)(nil)
-	_ sim.InboxAgnostic    = (*Omitting)(nil)
 	_ sim.Omitter          = (*Omitting)(nil)
 )
 

@@ -53,7 +53,6 @@ var (
 	_ sim.Adversary        = (*Restarting)(nil)
 	_ sim.MulticastDelayer = (*Restarting)(nil)
 	_ sim.UniformDelayer   = (*Restarting)(nil)
-	_ sim.InboxAgnostic    = (*Restarting)(nil)
 	_ sim.Omitter          = (*Restarting)(nil)
 )
 

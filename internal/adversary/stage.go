@@ -168,7 +168,7 @@ func (a *StageDeterministic) planStage(v *sim.View) {
 			continue // cloning unsupported at runtime (e.g. PaRan2)
 		}
 		set := make(map[int]bool)
-		inbox := append([]sim.Delivery(nil), v.Inboxes[i]...)
+		inbox := append([]sim.Delivery(nil), v.Inbox(i)...)
 		for k := int64(0); k < a.clock.L; k++ {
 			r := m.Step(v.Now+k, inbox)
 			inbox = nil
@@ -260,11 +260,6 @@ func NewStageOnline(d int64, t int) *StageOnline {
 
 // D implements sim.Adversary.
 func (a *StageOnline) D() int64 { return a.Bound }
-
-// InboxAgnostic implements sim.InboxAgnostic: the adaptive adversary
-// probes machine intents (TaskIntender) and the task ledger, never
-// View.Inboxes, so the engine may run its grouped delivery path.
-func (a *StageOnline) InboxAgnostic() bool { return true }
 
 // Delay implements sim.Adversary.
 func (a *StageOnline) Delay(from, to int, sentAt int64) int64 {

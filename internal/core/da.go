@@ -231,7 +231,7 @@ func (m *DA) mergeBatch(b *sim.Batch) {
 	m.applyCombined(b.Combined.(*knowledgeCombined))
 }
 
-// BuildCombined implements sim.CombinedBuilder; see PA.BuildCombined.
+// BuildCombined implements sim.BatchConsumer; see PA.BuildCombined.
 // The accumulation reads only the merge cursors and the batch's
 // immutable tree snapshots — never the replica — so building ahead of
 // the step and applying at the step is state-for-state identical to the

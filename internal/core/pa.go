@@ -331,7 +331,7 @@ func (m *PA) mergeBatch(b *sim.Batch) {
 	m.applyCombined(b.Combined.(*knowledgeCombined))
 }
 
-// BuildCombined implements sim.CombinedBuilder: it accumulates the
+// BuildCombined implements sim.BatchConsumer: it accumulates the
 // batch's unseen knowledge (per this machine's merge cursors) into a
 // pooled combined cache, advances the cursors, and publishes the cache —
 // the build half of mergeBatch, without the apply. The parallel engine

@@ -243,7 +243,7 @@ func TestQuickGroupedEngineMatchesLegacyAllAlgorithms(t *testing.T) {
 	}
 }
 
-// quickFair is a minimal InboxAgnostic uniform adversary local to the
+// quickFair is a minimal uniform adversary local to the
 // test (internal/core cannot import internal/adversary — layering).
 type quickFair struct{ d int64 }
 
@@ -259,4 +259,3 @@ func (a *quickFair) Delay(from, to int, sentAt int64) int64 { return a.d }
 func (a *quickFair) DelayUniform(from int, sentAt int64) (int64, bool) {
 	return a.d, true
 }
-func (a *quickFair) InboxAgnostic() bool { return true }

@@ -12,8 +12,8 @@ import (
 )
 
 // Scale selects experiment sizes: Quick keeps each experiment under ~1s
-// for tests and benchmarks; Full is what cmd/experiments uses for
-// EXPERIMENTS.md.
+// for tests and benchmarks; Full is what `cmd/experiments -scale full`
+// runs.
 type Scale int
 
 // Scales.
@@ -287,6 +287,8 @@ func E10Crossover(sc Scale) (*Table, error) {
 }
 
 // AllExperiments runs every experiment at the given scale, in index order.
+// This list is the experiment index (E1–E10) that cmd/experiments, the
+// root package's benchmarks and README refer to.
 func AllExperiments(sc Scale) ([]*Table, error) {
 	fns := []func(Scale) (*Table, error){
 		E1LowerBoundDet, E2LowerBoundRand, E3Contention, E4DContention,

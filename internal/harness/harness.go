@@ -1,8 +1,8 @@
 // Package harness builds algorithm instances from declarative specs, runs
 // them under configurable adversaries in the simulator, and formats the
 // results as aligned text or Markdown tables. It is the engine behind
-// cmd/experiments and the benchmark suite: every experiment in DESIGN.md's
-// index (E1–E10) is a function here returning a Table whose rows pair
+// cmd/experiments and the benchmark suite: every experiment in the E1–E10
+// index (AllExperiments) is a function here returning a Table whose rows pair
 // measured work/messages with the paper's closed-form bounds.
 //
 // Construction is registry-driven: Spec is a thin veneer over

@@ -24,9 +24,10 @@ func TestFaultAdversariesRegistered(t *testing.T) {
 }
 
 // TestFaultExpressionsRunDeterministically runs fault-plane expressions
-// through the full Scenario pipeline on both simulator backends:
-// backends must agree byte for byte, and repeat runs must be identical
-// (the acceptance bar for -adversary reachability).
+// through the full Scenario pipeline and on the per-message reference
+// engine (sim.RunLegacy): the two must agree byte for byte, and repeat
+// runs must be identical (the acceptance bar for -adversary
+// reachability).
 func TestFaultExpressionsRunDeterministically(t *testing.T) {
 	exprs := []string{
 		"restarting(fair, down=6)",
@@ -44,26 +45,24 @@ func TestFaultExpressionsRunDeterministically(t *testing.T) {
 				if err := sc.Validate(); err != nil {
 					t.Fatalf("Validate: %v", err)
 				}
-				run := func(backend string) *Result {
-					s := sc
-					s.Backend = backend
-					res, err := Run(s)
+				run := func() *Result {
+					res, err := Run(sc)
 					if err != nil {
-						t.Fatalf("%s: %v", backend, err)
+						t.Fatal(err)
 					}
 					if !res.Solved() {
-						t.Fatalf("%s: not solved", backend)
+						t.Fatal("not solved")
 					}
 					return res
 				}
-				fast := run(BackendSim)
-				again := run(BackendSim)
-				legacy := run(BackendSimLegacy)
+				fast := run()
+				again := run()
+				legacy := runLegacy(t, sc)
 				if !reflect.DeepEqual(fast.Sim, again.Sim) {
 					t.Fatalf("repeat run diverged:\nfirst:  %+v\nsecond: %+v", fast.Sim, again.Sim)
 				}
-				if !reflect.DeepEqual(fast.Sim, legacy.Sim) {
-					t.Fatalf("backends diverged:\nsim:    %+v\nlegacy: %+v", fast.Sim, legacy.Sim)
+				if !reflect.DeepEqual(fast.Sim, legacy) {
+					t.Fatalf("engines diverged:\nsim:    %+v\nlegacy: %+v", fast.Sim, legacy)
 				}
 			})
 		}

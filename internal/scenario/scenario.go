@@ -34,9 +34,6 @@ type (
 const (
 	// BackendSim is the deterministic multicast-native simulator (default).
 	BackendSim = "sim"
-	// BackendSimLegacy is the per-message reference engine, kept for
-	// equivalence checking.
-	BackendSimLegacy = "sim-legacy"
 	// BackendRuntime executes the same machines on real goroutines with
 	// delayed channels and optional user task bodies.
 	BackendRuntime = "runtime"
@@ -77,8 +74,8 @@ type Scenario struct {
 	SearchRestarts int `json:"search_restarts,omitempty"`
 	// MaxSteps overrides the simulator's step cap (0 = default).
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// Backend selects the execution substrate: BackendSim (default),
-	// BackendSimLegacy, or BackendRuntime.
+	// Backend selects the execution substrate: BackendSim (default) or
+	// BackendRuntime.
 	Backend string `json:"backend,omitempty"`
 	// Shards is the intra-run parallelism of the simulator backend: each
 	// time unit's live-processor schedule is split into Shards contiguous
@@ -213,10 +210,10 @@ func (sc Scenario) Validate() error {
 		return err
 	}
 	switch sc.Backend {
-	case BackendSim, BackendSimLegacy, BackendRuntime:
+	case BackendSim, BackendRuntime:
 	default:
-		return fmt.Errorf("scenario: unknown backend %q (known: %s, %s, %s)",
-			sc.Backend, BackendSim, BackendSimLegacy, BackendRuntime)
+		return fmt.Errorf("scenario: unknown backend %q (known: %s, %s)",
+			sc.Backend, BackendSim, BackendRuntime)
 	}
 	if sc.Shards < ShardsAuto {
 		return fmt.Errorf("scenario: shards=%d out of range (want ≥ -1; -1 = auto)", sc.Shards)
@@ -336,30 +333,26 @@ func RunOn(eng *sim.Engine, sc Scenario) (*Result, error) {
 func RunWith(sc Scenario, opts Options) (*Result, error) {
 	sc = sc.WithDefaults()
 	switch sc.Backend {
-	case BackendSim, BackendSimLegacy, BackendRuntime:
+	case BackendSim, BackendRuntime:
 	default:
 		// Reject before building machines: schedule search is expensive.
-		return nil, fmt.Errorf("scenario: unknown backend %q (known: %s, %s, %s)",
-			sc.Backend, BackendSim, BackendSimLegacy, BackendRuntime)
+		return nil, fmt.Errorf("scenario: unknown backend %q (known: %s, %s)",
+			sc.Backend, BackendSim, BackendRuntime)
 	}
 	ms, err := sc.Machines()
 	if err != nil {
 		return nil, err
 	}
 	switch sc.Backend {
-	case BackendSim, BackendSimLegacy:
+	case BackendSim:
 		adv, err := sc.BuildAdversary()
 		if err != nil {
 			return nil, err
 		}
-		cfg := sim.Config{P: sc.P, T: sc.T, MaxSteps: sc.MaxSteps, Observer: opts.Observer}
-		engine := sim.Run
-		if sc.Backend == BackendSimLegacy {
-			engine = sim.RunLegacy // the reference engine ignores Shards
-		} else {
-			cfg.Shards = ResolveShards(sc.Shards, sc.P)
-		}
-		res, err := engine(cfg, ms, adv)
+		res, err := sim.Run(sim.Config{
+			P: sc.P, T: sc.T, MaxSteps: sc.MaxSteps, Observer: opts.Observer,
+			Shards: ResolveShards(sc.Shards, sc.P),
+		}, ms, adv)
 		if res == nil {
 			return nil, err
 		}

@@ -76,7 +76,8 @@ func legacyBuildAdversary(sc Scenario, name string) (sim.Adversary, error) {
 // TestScenarioMatchesLegacyPath is the redesign's acceptance contract:
 // for every pre-registered algorithm × adversary pair, running through
 // the declarative Scenario path yields byte-identical Results to direct
-// legacy construction.
+// legacy construction run on the per-message reference engine
+// (sim.RunLegacy).
 func TestScenarioMatchesLegacyPath(t *testing.T) {
 	algos := []string{AlgoAllToAll, AlgoObliDo, AlgoDA, AlgoPaRan1, AlgoPaRan2, AlgoPaDet}
 	advs := []string{AdvFair, AdvRandom, AdvCrashing, AdvSlowSet, AdvStageDet, AdvStageOnline}
@@ -97,7 +98,7 @@ func TestScenarioMatchesLegacyPath(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						legacy, errL := sim.Run(sim.Config{P: sc.P, T: sc.T}, msL, advL)
+						legacy, errL := sim.RunLegacy(sim.Config{P: sc.P, T: sc.T}, msL, advL)
 
 						fresh, errN := Run(sc)
 						if (errL == nil) != (errN == nil) {
@@ -244,21 +245,38 @@ func TestRegistryExtension(t *testing.T) {
 	}
 }
 
+// TestBackendsAgree checks the sim backend against the per-message
+// reference engine on the same machines and adversary.
 func TestBackendsAgree(t *testing.T) {
 	base := Scenario{Algorithm: AlgoDA, P: 4, T: 16, D: 2, Seed: 3}
 	simRes, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := base
-	legacy.Backend = BackendSimLegacy
-	legacyRes, err := Run(legacy)
+	legacyRes := runLegacy(t, base)
+	if !reflect.DeepEqual(simRes.Sim, legacyRes) {
+		t.Fatalf("sim and sim.RunLegacy diverged:\nsim:    %+v\nlegacy: %+v", simRes.Sim, legacyRes)
+	}
+}
+
+// runLegacy runs sc's machines and adversary on the per-message
+// reference engine, sim.RunLegacy.
+func runLegacy(t *testing.T, sc Scenario) *sim.Result {
+	t.Helper()
+	sc = sc.WithDefaults()
+	ms, err := sc.Machines()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(simRes.Sim, legacyRes.Sim) {
-		t.Fatalf("sim and sim-legacy diverged:\nsim:    %+v\nlegacy: %+v", simRes.Sim, legacyRes.Sim)
+	adv, err := sc.BuildAdversary()
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := sim.RunLegacy(sim.Config{P: sc.P, T: sc.T, MaxSteps: sc.MaxSteps}, ms, adv)
+	if err != nil {
+		t.Fatalf("sim.RunLegacy: %v", err)
+	}
+	return res
 }
 
 func TestRuntimeBackend(t *testing.T) {

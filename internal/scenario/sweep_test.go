@@ -149,12 +149,12 @@ func TestRunOnMatchesRun(t *testing.T) {
 // TestRunOnFallsBackOffSimBackend: non-sim backends take the plain Run
 // path rather than failing.
 func TestRunOnFallsBackOffSimBackend(t *testing.T) {
-	sc := Scenario{Algorithm: AlgoPaRan1, P: 4, T: 8, D: 2, Seed: 1, Backend: BackendSimLegacy}
+	sc := Scenario{Algorithm: AlgoPaRan1, P: 4, T: 8, D: 2, Seed: 1, Backend: BackendRuntime}
 	res, err := RunOn(sim.NewEngine(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Backend != BackendSimLegacy || !res.Solved() {
+	if res.Backend != BackendRuntime || !res.Solved() {
 		t.Fatalf("fallback run: backend=%q solved=%v", res.Backend, res.Solved())
 	}
 }

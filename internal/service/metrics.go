@@ -19,9 +19,8 @@ import (
 //     solved runs) folded once per cell from the counts the engine already
 //     keeps in sim.Result (summed over the cell's trials as a
 //     scenario.Tally), plus the cell's parallel-tick phase-time delta.
-//     Workers attach no sim.Observer: an observer moves a run off the
-//     engine's grouped delivery path and staged phase B, so daemon cells
-//     would run a slower engine than the one the benchmarks measure.
+//     Workers attach no sim.Observer: the counts are already in the
+//     Result, and hook calls would only add per-event cost to every cell.
 type metrics struct {
 	start time.Time
 
@@ -184,7 +183,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	p("# HELP doalld_shard_threads_inflight Tick-shard goroutines across busy engines (resolved intra-run shards summed; CPU occupancy under sharding).\n# TYPE doalld_shard_threads_inflight gauge\n")
 	p("doalld_shard_threads_inflight %d\n", m.shardsInflight.Load())
 
-	p("# HELP doalld_tick_phase_seconds Wall-clock seconds the fleet's parallel tick engines spent per phase: a1 = serial prefix (schedule filter, cache-build plan and fan-out, shadow seeding), a2 = parallel shard stepping, b = serial tail (staged-reduction merge plus ordered residue, or the full replay).\n# TYPE doalld_tick_phase_seconds counter\n")
+	p("# HELP doalld_tick_phase_seconds Wall-clock seconds the fleet's parallel tick engines spent per phase: a1 = serial prefix (schedule filter, cache-build plan and fan-out, shadow seeding), a2 = parallel shard stepping, b = serial tail (staged-reduction merge plus ordered residue).\n# TYPE doalld_tick_phase_seconds counter\n")
 	p("doalld_tick_phase_seconds{phase=\"a1\"} %.6f\n", float64(c.phaseA1Ns.Load())/1e9)
 	p("doalld_tick_phase_seconds{phase=\"a2\"} %.6f\n", float64(c.phaseA2Ns.Load())/1e9)
 	p("doalld_tick_phase_seconds{phase=\"b\"} %.6f\n", float64(c.phaseBNs.Load())/1e9)

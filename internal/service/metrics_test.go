@@ -94,8 +94,8 @@ func TestSimMetricsEqualDirectResults(t *testing.T) {
 // TestServiceAttachesNoObserver pins that the daemon's metrics come from
 // Results, not hooks: no non-test source in this package names an
 // Observer (sim.Observer, an Options or Config Observer field, a
-// NopObserver embed, …). An attached observer would move every daemon
-// cell off the engine's grouped delivery path and staged phase B.
+// NopObserver embed, …). An attached observer would add hook calls to
+// every daemon cell for counts the Result already holds.
 func TestServiceAttachesNoObserver(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// batchFair is a uniform-delay, always-active, InboxAgnostic adversary
-// driving the grouped delivery path in tests.
+// batchFair is a uniform-delay, always-active adversary driving grouped
+// delivery in tests.
 type batchFair struct{ d int64 }
 
 func (a *batchFair) D() int64 { return a.d }
@@ -16,7 +16,6 @@ func (a *batchFair) Schedule(v *View, dec *Decision) {
 }
 func (a *batchFair) Delay(from, to int, sentAt int64) int64            { return a.d }
 func (a *batchFair) DelayUniform(from int, sentAt int64) (int64, bool) { return a.d, true }
-func (a *batchFair) InboxAgnostic() bool                               { return true }
 
 // chatty is a plain (non-BatchConsumer) machine: every step it broadcasts
 // its pid and counts every distinct message it received. Under the
@@ -47,12 +46,12 @@ func (m *chatty) Step(now int64, inbox []Delivery) StepResult {
 func (m *chatty) KnowsAllDone() bool { return true }
 
 // TestGroupedMaterializationMatchesEager runs plain machines (no
-// BatchConsumer) under the grouped engine and under the same engine with
-// grouping disabled (via an observer), checking the delivered message
-// flow is identical — materialized batches must be indistinguishable
-// from eager per-recipient delivery.
+// BatchConsumer) under the grouped engine and under the per-message
+// reference engine (RunLegacy), checking the delivered message flow is
+// identical — materialized batches must be indistinguishable from eager
+// per-recipient delivery.
 func TestGroupedMaterializationMatchesEager(t *testing.T) {
-	run := func(obs Observer) []*chatty {
+	run := func(engine func(Config, []Machine, Adversary) (*Result, error)) []*chatty {
 		const p = 5
 		ms := make([]Machine, p)
 		cs := make([]*chatty, p)
@@ -61,15 +60,14 @@ func TestGroupedMaterializationMatchesEager(t *testing.T) {
 			ms[i] = cs[i]
 		}
 		// The first machine performs every task so the run solves.
-		cfg := Config{P: p, T: 1, Observer: obs}
 		ms[0] = &solver{chatty: cs[0]}
-		if _, err := Run(cfg, ms, &batchFair{d: 2}); err != nil {
+		if _, err := engine(Config{P: p, T: 1}, ms, &batchFair{d: 2}); err != nil {
 			t.Fatal(err)
 		}
 		return cs
 	}
-	grouped := run(nil)         // InboxAgnostic adversary, no observer: grouped
-	eager := run(NopObserver{}) // observer forces the eager path
+	grouped := run(Run)
+	eager := run(RunLegacy)
 	for i := range grouped {
 		if grouped[i].own != 0 || eager[i].own != 0 {
 			t.Fatalf("machine %d saw its own multicast (grouped=%d eager=%d)",
@@ -103,6 +101,10 @@ type countingConsumer struct {
 	skippedOwn   int
 }
 
+// BuildCombined implements BatchConsumer: the consumer keeps no shared
+// knowledge cache.
+func (m *countingConsumer) BuildCombined(*Batch) bool { return false }
+
 func (m *countingConsumer) StepBatched(now int64, batches []*Batch, tail []Delivery) StepResult {
 	m.batchedCalls++
 	for _, b := range batches {
@@ -118,35 +120,37 @@ func (m *countingConsumer) StepBatched(now int64, batches []*Batch, tail []Deliv
 }
 
 // TestBatchConsumerReceivesGroups checks BatchConsumer machines get the
-// shared groups directly (no materialization) and exactly once each.
+// shared groups directly (no materialization), with or without an
+// observer attached.
 func TestBatchConsumerReceivesGroups(t *testing.T) {
-	const p = 4
-	ms := make([]Machine, p)
-	cs := make([]*countingConsumer, p)
-	for i := range ms {
-		cs[i] = &countingConsumer{chatty: chatty{pid: i, limit: 10}}
-		ms[i] = cs[i]
-	}
-	res, err := Run(Config{P: p, T: 1}, append([]Machine{&solver{&cs[0].chatty}}, ms[1:]...), &batchFair{d: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solved {
-		t.Fatal("not solved")
-	}
-	// Every consumer must have been fed through StepBatched (grouping
-	// active for BatchConsumer machines), must have seen (and skipped) its
-	// own multicasts inside the shared groups, and must have received
-	// peers' multicasts through them.
-	for i := 1; i < p; i++ {
-		if cs[i].batchedCalls == 0 {
-			t.Fatalf("machine %d never received a batch (grouping inactive?)", i)
+	for _, obs := range []Observer{nil, NopObserver{}} {
+		const p = 4
+		ms := make([]Machine, p)
+		cs := make([]*countingConsumer, p)
+		for i := range ms {
+			cs[i] = &countingConsumer{chatty: chatty{pid: i, limit: 10}}
+			ms[i] = cs[i]
 		}
-		if cs[i].skippedOwn == 0 {
-			t.Fatalf("machine %d never saw its own multicast in a shared group", i)
+		res, err := Run(Config{P: p, T: 1, Observer: obs}, append([]Machine{&solver{&cs[0].chatty}}, ms[1:]...), &batchFair{d: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cs[i].received == 0 {
-			t.Fatalf("machine %d received nothing through batches", i)
+		if !res.Solved {
+			t.Fatal("not solved")
+		}
+		// Every consumer must have been fed through StepBatched, must have
+		// seen (and skipped) its own multicasts inside the shared groups,
+		// and must have received peers' multicasts through them.
+		for i := 1; i < p; i++ {
+			if cs[i].batchedCalls == 0 {
+				t.Fatalf("observer=%T: machine %d never received a batch", obs, i)
+			}
+			if cs[i].skippedOwn == 0 {
+				t.Fatalf("observer=%T: machine %d never saw its own multicast in a shared group", obs, i)
+			}
+			if cs[i].received == 0 {
+				t.Fatalf("observer=%T: machine %d received nothing through batches", obs, i)
+			}
 		}
 	}
 }

@@ -28,14 +28,15 @@ func Run(cfg Config, machines []Machine, adv Adversary) (*Result, error) {
 // across ticks and across runs; idle stretches announced via
 // Decision.NextWake are fast-forwarded instead of ticked through.
 //
-// When the adversary declares itself InboxAgnostic (and no observer is
-// attached), the engine runs its grouped delivery path: all uniform
-// multicasts due at one time unit form a single shared Batch consumed by
-// reference by every live processor, so a broadcast's delivery fan-out
-// costs O(1) instead of p-1 inbox appends, and BatchConsumer machines
-// share one combined-knowledge merge per batch instead of paying one
-// merge per sender per recipient. Results are byte-identical to the
-// eager path's (asserted by the equivalence tests).
+// Delivery is grouped: all uniform multicasts due at one time unit form a
+// single shared Batch consumed by reference by every live processor, so a
+// broadcast's delivery fan-out costs O(1) instead of p-1 inbox appends,
+// and BatchConsumer machines share one combined-knowledge merge per batch
+// instead of paying one merge per sender per recipient. Only a time unit
+// that also delivers a per-recipient event is delivered eagerly, into
+// per-processor inboxes. The adversary and an attached Observer see the
+// same deliveries either way (View.Inbox, Observer.OnDeliver), and Results
+// equal RunLegacy's (asserted by the equivalence tests).
 //
 // An Engine is not safe for concurrent use; sweeps hold one per worker.
 type Engine struct {
@@ -46,8 +47,8 @@ type Engine struct {
 	batched  MulticastDelayer // adv, when it supports batched delays
 	uniform  UniformDelayer   // adv, when its delays are recipient-independent
 	omitter  Omitter          // adv, when it may omit deliveries
-	// advSrc is the adversary the cached facets above (and inboxAg below)
-	// were derived from, so repeat runs with the same adversary skip the
+	// advSrc is the adversary the cached facets above were derived from,
+	// so repeat runs with the same adversary skip the
 	// interface assertions entirely. This is a zero-allocation contract,
 	// not just a shortcut: the runtime populates each assertion site's
 	// itab cache lazily and randomly (~1/1024 of misses allocate a new
@@ -55,27 +56,25 @@ type Engine struct {
 	// per-run chance of one stray steady-state allocation alive for
 	// ~1000 runs. Only comparable adversaries are recorded (advSrc stays
 	// nil otherwise), which keeps the == test panic-free.
-	advSrc    Adversary
-	inboxAg   InboxAgnostic // adv, when it can declare inbox-agnosticism
-	inboxAgOK bool
-	d         int64 // adv.D(), cached
-	wheel     *wheel
-	inbox     [][]Delivery
-	crashed   []bool
-	halted    []bool
-	stopped   int // processors crashed or halted
-	tasks     *TaskLedger
-	inflight  int // undelivered point-to-point messages
-	res       Result
-	view      View     // reused across ticks; only Now/InFlight change
-	dec       Decision // reused across ticks; adversaries append into it
-	delays    []int64  // scratch for per-recipient delays, length P
+	advSrc   Adversary
+	d        int64 // adv.D(), cached
+	wheel    *wheel
+	inbox    [][]Delivery
+	crashed  []bool
+	halted   []bool
+	stopped  int // processors crashed or halted
+	tasks    *TaskLedger
+	inflight int // undelivered point-to-point messages
+	res      Result
+	view     View     // reused across ticks; only Now/InFlight change
+	dec      Decision // reused across ticks; adversaries append into it
+	delays   []int64  // scratch for per-recipient delays, length P
 	// recyclers[i] is machines[i]'s PayloadRecycler, nil when unsupported.
 	recyclers []PayloadRecycler
 	// sizers[i] is machines[i]'s PayloadSizer, nil when unsupported.
 	sizers []PayloadSizer
 	// facetSrc[i] is the machine whose optional facets are cached in
-	// recyclers/batchers/cbuilders[i]; an engine-owned copy (not an alias
+	// recyclers/sizers/batchers[i]; an engine-owned copy (not an alias
 	// of the caller's slice) so in-place element swaps are detected. Same
 	// zero-allocation rationale as advSrc; non-comparable machines are
 	// never recorded.
@@ -86,54 +85,45 @@ type Engine struct {
 	idle     bool
 	nextWake int64
 
-	// Grouped delivery path state. ringBuf[ringHead:] holds the live
-	// batches, oldest first; the batch at ringBuf[ringHead] has sequence
-	// number ringSeq0 and batchSeq is the next sequence to assign.
-	// cursor[i] is the sequence of the first batch processor i has not
-	// consumed; batchers[i] caches machines[i]'s BatchConsumer.
-	grouped   bool
+	// Grouped delivery state. ringBuf[ringHead:] holds the live batches,
+	// oldest first; the batch at ringBuf[ringHead] has sequence number
+	// ringSeq0 and batchSeq is the next sequence to assign. cursor[i] is
+	// the sequence of the first batch processor i has not consumed;
+	// batchers[i] caches machines[i]'s BatchConsumer.
 	ringBuf   []*Batch
 	ringHead  int
 	ringSeq0  int64
 	batchSeq  int64
 	cursor    []int64
 	batchers  []BatchConsumer
-	cbuilders []CombinedBuilder // machines[i]'s CombinedBuilder, nil when unsupported
 	freeBatch []*Batch
-	scratch   []Delivery // materialized inbox for non-BatchConsumer machines
+	scratch   []Delivery // materialized inbox for non-BatchConsumer machines and View.Inbox
 
-	// Parallel tick engine state (Config.Shards > 1); see parallel.go.
-	// shards is the resolved per-run shard count (1 = sequential). The
-	// shard blocks hold per-shard scratch and the parked worker goroutines'
-	// wake channels; stepList/parRes/isA1 are the per-tick schedule, the
-	// captured step results, and the serially-pre-stepped (phase A1)
-	// positions.
+	// Tick state; see parallel.go. shards is the resolved per-run shard
+	// count (1 = sequential). The shard blocks hold per-shard scratch, the
+	// staged accounting every tick reduces into (the sequential tick uses
+	// block 0), and the parked worker goroutines' wake channels;
+	// stepList/parRes are a parallel tick's schedule and captured step
+	// results.
 	shards   int
 	shard    []shardBlock
 	stepList []int32
 	parRes   []StepResult
-	isA1     []bool
 	parDone  sync.WaitGroup
 	parNow   int64
 	parN     int
 	parNsh   int
 	launched int // worker goroutines running (shards 1..launched)
 
-	// Staged phase-B state (see parallel.go). builds is the per-tick
+	// Parallel phase-A1 state (see parallel.go). builds is the per-tick
 	// cache-construction plan (the prefix-minima builders and their batch
-	// ranges); parStaged marks ticks whose phase B runs as per-shard
-	// pre-reduced accounting plus a lean serial residue (observer-free
-	// runs only); parBuild switches the parked workers from stepping to
-	// cache building; stagedAcct suppresses the message accounting inside
-	// the broadcast paths while the residue replays them (the shards
-	// already pre-reduced it); parNb/parNbld are the tick's pending-batch
-	// and build-worker counts.
-	builds     []buildJob
-	parStaged  bool
-	parBuild   bool
-	stagedAcct bool
-	parNb      int
-	parNbld    int
+	// ranges); parBuild switches the parked workers from stepping to cache
+	// building; parNb/parNbld are the tick's pending-batch and
+	// build-worker counts.
+	builds   []buildJob
+	parBuild bool
+	parNb    int
+	parNbld  int
 
 	// Parallel tick phase profile: accumulated wall-clock nanoseconds of
 	// phases A1/A2/B and the number of parallel ticks profiled, monotone
@@ -251,7 +241,6 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 		e.sizers = make([]PayloadSizer, p)
 		e.facetSrc = make([]Machine, p)
 		e.batchers = make([]BatchConsumer, p)
-		e.cbuilders = make([]CombinedBuilder, p)
 		e.cursor = make([]int64, p)
 	} else {
 		for i := range e.inbox {
@@ -276,7 +265,6 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 		e.recyclers[i], _ = m.(PayloadRecycler)
 		e.sizers[i], _ = m.(PayloadSizer)
 		e.batchers[i], _ = m.(BatchConsumer)
-		e.cbuilders[i], _ = m.(CombinedBuilder)
 		if reflect.TypeOf(m).Comparable() {
 			e.facetSrc[i] = m
 		} else {
@@ -291,7 +279,6 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 		e.batched, _ = adv.(MulticastDelayer)
 		e.uniform, _ = adv.(UniformDelayer)
 		e.omitter, _ = adv.(Omitter)
-		e.inboxAg, e.inboxAgOK = adv.(InboxAgnostic)
 		if reflect.TypeOf(adv).Comparable() {
 			e.advSrc = adv
 		} else {
@@ -304,16 +291,11 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 	} else {
 		e.wheel.reset()
 	}
-	e.grouped = p > 1 && cfg.Observer == nil && e.inboxAgOK && e.inboxAg.InboxAgnostic()
 	e.shards = 1
 	if cfg.Shards > 1 && p > 1 {
-		s := cfg.Shards
-		if s > p {
-			s = p
-		}
-		e.shards = s
-		e.ensureShards(s)
+		e.shards = min(cfg.Shards, p)
 	}
+	e.ensureShards(e.shards)
 	// A drain (or a fresh engine) leaves the ring empty; defensively drop
 	// any leftovers without recycling — they could reference the previous
 	// run's machines.
@@ -336,9 +318,9 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 		T:        t,
 		Tasks:    e.tasks, // shared; adversaries must not mutate
 		Machines: machines,
-		Inboxes:  e.inbox,
 		Crashed:  e.crashed,
 		Halted:   e.halted,
+		pending:  e,
 	}
 }
 
@@ -439,48 +421,51 @@ func (e *Engine) dropBatches(i int) {
 	e.popRetired()
 }
 
-// deliverBucket routes one timing-wheel bucket's events. On the grouped
-// path a bucket of only uniform multicasts becomes one shared Batch —
-// O(multicasts) work regardless of p; a bucket containing any
-// per-recipient event (non-uniform delays, point-to-point sends) is
-// delivered eagerly, event by event, exactly like the ungrouped engine,
-// so grouped and eager deliveries never interleave within one time unit
-// and inbox ordering matches the legacy engine's.
+// deliverBucket routes one timing-wheel bucket's events. A bucket of only
+// uniform multicasts becomes one shared Batch — O(multicasts) work
+// regardless of p; a bucket containing any per-recipient event
+// (non-uniform delays, point-to-point sends, omitting broadcasts) is
+// delivered eagerly, event by event, so grouped and eager deliveries
+// never interleave within one time unit and inbox ordering matches the
+// legacy engine's. An observer sees one OnDeliver per live recipient in
+// the same order either way: bucket order, then ascending recipient.
 func (e *Engine) deliverBucket(evs []wevent, at int64) {
-	if e.grouped {
-		uniform := true
-		for _, ev := range evs {
-			if ev.to >= 0 {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
-			fanout := e.cfg.P - 1
-			consumers := int32(e.cfg.P - e.stopped)
-			if consumers == 0 {
-				// No live processor will ever consume these.
-				for _, ev := range evs {
-					e.inflight -= fanout
-					ev.mc.outstanding -= int32(fanout) - 1
-					e.release(ev.mc)
-				}
-				return
-			}
-			b := e.getBatch()
-			b.At = at
+	for _, ev := range evs {
+		if ev.to >= 0 {
 			for _, ev := range evs {
-				e.inflight -= fanout
-				b.MCs = append(b.MCs, ev.mc)
+				e.deliver(ev, at)
 			}
-			b.remaining = consumers
-			e.ringBuf = append(e.ringBuf, b)
-			e.batchSeq++
 			return
 		}
 	}
+	fanout := e.cfg.P - 1
+	consumers := int32(e.cfg.P - e.stopped)
+	if consumers == 0 {
+		// No live processor will ever consume these.
+		for _, ev := range evs {
+			e.inflight -= fanout
+			ev.mc.outstanding -= int32(fanout) - 1
+			e.release(ev.mc)
+		}
+		return
+	}
+	b := e.getBatch()
+	b.At = at
 	for _, ev := range evs {
-		e.deliver(ev, at)
+		e.inflight -= fanout
+		b.MCs = append(b.MCs, ev.mc)
+	}
+	b.remaining = consumers
+	e.ringBuf = append(e.ringBuf, b)
+	e.batchSeq++
+	if e.obs != nil {
+		for _, mc := range b.MCs {
+			for j := 0; j < e.cfg.P; j++ {
+				if j != mc.From && !e.crashed[j] && !e.halted[j] {
+					e.obs.OnDeliver(Message{From: mc.From, To: j, SentAt: mc.SentAt, DeliverAt: at, Payload: mc.Payload})
+				}
+			}
+		}
 	}
 }
 
@@ -527,6 +512,23 @@ func (e *Engine) deliverOne(mc *Multicast, j int, at int64) {
 	}
 }
 
+// pending returns processor i's unconsumed batches, oldest first.
+func (e *Engine) pending(i int) []*Batch {
+	cur := max(e.cursor[i], e.ringSeq0) // a live processor's cursor is never behind
+	return e.ringBuf[e.ringHead+int(cur-e.ringSeq0):]
+}
+
+// pendingInbox implements View.Inbox: processor i's pending batches
+// materialized with its per-recipient deliveries, exactly the inbox a
+// plain Machine's next step receives. Crashed and halted processors
+// consume nothing, so they have none.
+func (e *Engine) pendingInbox(i int) []Delivery {
+	if e.crashed[i] || e.halted[i] {
+		return nil
+	}
+	return e.materialize(e.pending(i), e.inbox[i], i)
+}
+
 // materialize builds an ordinary inbox slice for a machine that does not
 // implement BatchConsumer: the processor's pending batches (minus its own
 // multicasts) interleaved with its per-recipient deliveries in delivery-
@@ -562,71 +564,107 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 // stepMachine runs machine i's local step for this time unit and returns
 // its StepResult, touching NO engine-shared mutable state: batch cursors,
 // remaining counts, inbox truncation, accounting, broadcasts, and sends
-// are all applied later by finishStep. The split is what makes the
-// parallel tick engine possible — concurrent stepMachine calls for
-// distinct machines are data-race-free because a step reads only the
-// machine's own state, immutable snapshots/batches, and published
-// combined caches (built before the parallel phase; see tickPar).
+// are all applied later by finishStepLocal and finishStep. The split is
+// what makes the parallel tick engine possible — concurrent stepMachine
+// calls for distinct machines are data-race-free because a step reads
+// only the machine's own state, immutable snapshots/batches, and
+// published combined caches (built before the parallel phase; see
+// tickPar).
 //
 // sb selects the scratch the call may use: nil means the engine's own
-// (the sequential path and the serial phase A1); a shard block routes
-// batch views through the shard's shadow batches and materializes
-// non-BatchConsumer inboxes into shard-private scratch.
+// (the sequential tick); a shard block routes batch views through the
+// shard's shadow batches and materializes non-BatchConsumer inboxes into
+// shard-private scratch.
 func (e *Engine) stepMachine(i int, now int64, sb *shardBlock) StepResult {
 	inbox := e.inbox[i]
-	if e.grouped {
-		cur := e.cursor[i]
-		if cur < e.ringSeq0 {
-			cur = e.ringSeq0 // defensively; cannot happen for live processors
-		}
-		if cur < e.batchSeq {
-			off := int(cur - e.ringSeq0)
-			if bc := e.batchers[i]; bc != nil {
-				if sb != nil {
-					return bc.StepBatched(now, sb.shadow[off:sb.nshadow], inbox)
-				}
-				return bc.StepBatched(now, e.ringBuf[e.ringHead+off:], inbox)
-			}
-			pend := e.ringBuf[e.ringHead+off:]
-			if sb != nil {
-				var sc []Delivery
-				sc, sb.scratch = materializeInto(sb.scratch, pend, inbox, i)
-				return e.machines[i].Step(now, sc)
-			}
-			return e.machines[i].Step(now, e.materialize(pend, inbox, i))
-		}
+	pend := e.pending(i)
+	if len(pend) == 0 {
+		return e.machines[i].Step(now, inbox)
 	}
-	return e.machines[i].Step(now, inbox)
+	if bc := e.batchers[i]; bc != nil {
+		if sb != nil {
+			// The shard's shadows of the same pending batches.
+			pend = sb.shadow[sb.nshadow-len(pend) : sb.nshadow]
+		}
+		return bc.StepBatched(now, pend, inbox)
+	}
+	if sb != nil {
+		var sc []Delivery
+		sc, sb.scratch = materializeInto(sb.scratch, pend, inbox, i)
+		return e.machines[i].Step(now, sc)
+	}
+	return e.machines[i].Step(now, e.materialize(pend, inbox, i))
 }
 
-// finishStep applies everything a completed step changes outside the
-// machine itself, in the engine's canonical serial order: batch cursor
-// advancement and remaining counts, inbox release and truncation, the
-// observer hook, work accounting, task-ledger updates, the broadcast and
-// point-to-point sends (with their adversary delay queries, in schedule
-// order — this is what keeps stateful delay streams and pool LIFO order
-// byte-identical between the sequential and parallel engines), halting,
-// and the informed check.
-func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
-	if e.grouped {
-		cur := e.cursor[i]
-		if cur < e.ringSeq0 {
-			cur = e.ringSeq0
-		}
-		if cur < e.batchSeq {
-			pend := e.ringBuf[e.ringHead+int(cur-e.ringSeq0):]
-			for _, b := range pend {
-				b.remaining--
-			}
-			e.cursor[i] = e.batchSeq
+// finishStepLocal stages one step's commutative share of the engine
+// update into shard block sb: batch cursor advancement and the
+// consumption histogram that mergeBlocks folds into the batches'
+// remaining counts, step and work counters, task-execution
+// classification, and message, multicast and byte charges. It runs right
+// after the step — on the engine's goroutine in the sequential tick, on
+// the step's shard worker in a parallel one — and writes only sb and the
+// stepping processor's own cursor and PerProcWork entry.
+//
+//   - Result.Solved is constant within a tick, so the conditional work and
+//     message split is applied once, at merge time.
+//   - A task is primary iff no earlier time unit performed it:
+//     FirstDoneAt is -1, or now because an earlier step of this tick
+//     already performed it (possible only in the sequential tick, whose
+//     residue runs between steps). Out-of-range tasks are left for the
+//     residue's validation panic.
+//   - A broadcast charges p-1 messages and p-1 wire sizes and a valid send
+//     charges one of each, omitted or not, and either counts one
+//     multicast, so no adversary query is needed here and the stateful
+//     omit stream stays untouched until the residue replays it (which is
+//     where omissions are counted).
+func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock) {
+	cur := max(e.cursor[i], e.ringSeq0)
+	if cur < e.batchSeq {
+		sb.consumed[cur-e.ringSeq0]++
+		e.cursor[i] = e.batchSeq
+	}
+	sb.steps++
+	e.res.PerProcWork[i]++
+	if z := r.PerformedTask(); z != NoTask && z >= 0 && z < e.cfg.T {
+		sb.taskExecs++
+		if first := e.res.FirstDoneAt[z]; first == -1 || first == now {
+			sb.primary++
+		} else {
+			sb.secondary++
 		}
 	}
+	if r.Broadcast != nil && e.cfg.P > 1 {
+		n := int64(e.cfg.P - 1)
+		sb.msgs += n
+		sb.mcasts++
+		sb.bytes += e.wireSize(i, r.Broadcast) * n
+	}
+	for _, snd := range r.Sends {
+		if snd.To < 0 || snd.To >= e.cfg.P || snd.To == i || snd.Payload == nil {
+			continue
+		}
+		sb.msgs++
+		sb.mcasts++
+		sb.bytes += e.wireSize(i, snd.Payload)
+	}
+}
+
+// finishStep applies the order-dependent rest of a completed step, in
+// schedule order after finishStepLocal staged its commutative share:
+// inbox release, the observer's OnStep, task-ledger set-bits (in schedule
+// order, so the Undone count each halt check reads is exactly the
+// mid-tick value), multicast publication into the ring and wheel (with
+// its adversary delay and omission queries and pool traffic — this is
+// what keeps stateful delay streams and pool LIFO order identical between
+// the sequential and parallel ticks) and its OnOmit and OnMulticast hooks,
+// the omission counts, halting, and the informed check.
+func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 	// The machine consumed its inbox: drop the delivery references
 	// (recycling records whose last recipient this was) and reuse the
-	// backing array for future deliveries. The stale entries beyond
-	// the truncated length are not cleared on the hot path — they can
-	// only reference pooled records, which the engine keeps alive
-	// anyway; reset clears everything between runs.
+	// backing array for future deliveries. The stale entries beyond the
+	// truncated length are not cleared on the hot path — they can only
+	// reference pooled records, which the engine keeps alive anyway; reset
+	// clears everything between runs.
 	inbox := e.inbox[i]
 	for _, d := range inbox {
 		e.release(d.MC)
@@ -639,21 +677,9 @@ func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 		e.obs.OnStep(i, now, &hooked)
 	}
 
-	e.res.TotalSteps++
-	e.res.PerProcWork[i]++
-	if !e.res.Solved {
-		e.res.Work++
-	}
-
 	if z := r.PerformedTask(); z != NoTask {
 		if z < 0 || z >= e.cfg.T {
 			panic(fmt.Sprintf("sim: machine %d performed out-of-range task %d", i, z))
-		}
-		e.res.TaskExecutions++
-		if e.res.FirstDoneAt[z] == -1 || e.res.FirstDoneAt[z] == now {
-			e.res.PrimaryExecutions++
-		} else {
-			e.res.SecondaryExecutions++
 		}
 		if e.tasks.MarkDone(z) {
 			e.res.FirstDoneAt[z] = now
@@ -675,13 +701,7 @@ func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 		if e.omitter != nil && e.omitter.Omit(i, snd.To, now) {
 			// The send is charged, the copy never flies; the payload
 			// goes straight back to the sender's pool.
-			e.res.TotalMessages++
-			e.res.Multicasts++
 			e.res.Omissions++
-			if !e.res.Solved {
-				e.res.Messages++
-				e.res.Bytes += e.wireSize(i, snd.Payload)
-			}
 			if e.obs != nil {
 				e.obs.OnOmit(i, snd.To, now)
 				e.obs.OnMulticast(i, now, snd.Payload, 1)
@@ -694,82 +714,9 @@ func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 		mc := e.getMC(i, now, snd.Payload, 1)
 		e.wheel.push(wevent{mc: mc, to: int32(snd.To)}, now+delay)
 		e.inflight++
-		e.res.TotalMessages++
-		e.res.Multicasts++
-		if !e.res.Solved {
-			e.res.Messages++
-			e.res.Bytes += e.wireSize(i, snd.Payload)
-		}
 		if e.obs != nil {
 			e.obs.OnMulticast(i, now, snd.Payload, 1)
 		}
-	}
-
-	if r.Halt {
-		if !e.halted[i] {
-			e.stopped++
-		}
-		e.halted[i] = true
-		if !e.res.Solved && !(e.tasks.Undone() == 0 && e.machines[i].KnowsAllDone()) {
-			e.res.HaltedEarly = true
-		}
-	}
-	if e.tasks.Undone() == 0 && e.machines[i].KnowsAllDone() {
-		*informed = true
-	}
-}
-
-// finishStepResidue is finishStep's genuinely order-dependent residue,
-// used by the staged parallel phase B (observer-free ticks): multicast
-// publication into the ring/wheel (with its adversary delay queries and
-// pool traffic in schedule order), inbox release, task-ledger set-bits
-// (kept in schedule order so the Undone count each halt check reads is
-// exactly the sequential engine's mid-tick value), halting, and the
-// informed check, plus the omission counts (only the residue queries the
-// omit stream). Everything commutative — step/work counters, message,
-// multicast and byte accounting, batch cursor advancement and
-// consumption counts — was already pre-reduced per shard during A2
-// (finishStepLocal) and merged before this runs; e.stagedAcct keeps the
-// shared broadcast paths from double-charging it.
-func (e *Engine) finishStepResidue(i int, now int64, r *StepResult, informed *bool) {
-	inbox := e.inbox[i]
-	for _, d := range inbox {
-		e.release(d.MC)
-	}
-	e.inbox[i] = inbox[:0]
-
-	if z := r.PerformedTask(); z != NoTask {
-		if z < 0 || z >= e.cfg.T {
-			panic(fmt.Sprintf("sim: machine %d performed out-of-range task %d", i, z))
-		}
-		if e.tasks.MarkDone(z) {
-			e.res.FirstDoneAt[z] = now
-		}
-	}
-
-	if r.Broadcast != nil && e.cfg.P > 1 {
-		e.broadcast(i, now, r.Broadcast)
-	}
-
-	for _, snd := range r.Sends {
-		if snd.To < 0 || snd.To >= e.cfg.P || snd.To == i || snd.Payload == nil {
-			continue
-		}
-		delay := e.adv.Delay(i, snd.To, now)
-		if delay < 1 || delay > e.d {
-			panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", delay, e.d))
-		}
-		if e.omitter != nil && e.omitter.Omit(i, snd.To, now) {
-			// Charged by the shard pre-reduction; the copy never flies.
-			e.res.Omissions++
-			if rc := e.recyclers[i]; rc != nil {
-				rc.RecyclePayload(snd.Payload)
-			}
-			continue
-		}
-		mc := e.getMC(i, now, snd.Payload, 1)
-		e.wheel.push(wevent{mc: mc, to: int32(snd.To)}, now+delay)
-		e.inflight++
 	}
 
 	if r.Halt {
@@ -813,9 +760,7 @@ func (e *Engine) tick(now int64) {
 				e.release(d.MC)
 			}
 			e.inbox[i] = e.inbox[i][:0]
-			if e.grouped {
-				e.dropBatches(i)
-			}
+			e.dropBatches(i)
 			e.res.Crashes++
 			if e.obs != nil {
 				e.obs.OnCrash(i, now)
@@ -826,12 +771,10 @@ func (e *Engine) tick(now int64) {
 		if i >= 0 && i < e.cfg.P && e.crashed[i] && !e.halted[i] {
 			e.crashed[i] = false
 			e.stopped--
-			if e.grouped {
-				// Skip every batch formed while the processor was down
-				// (its crash released its claim on them); batches formed
-				// from now on count it as a consumer again.
-				e.cursor[i] = e.batchSeq
-			}
+			// Skip every batch formed while the processor was down (its
+			// crash released its claim on them); batches formed from now
+			// on count it as a consumer again.
+			e.cursor[i] = e.batchSeq
 			RejoinMachine(e.machines[i])
 			e.res.Revivals++
 			if e.obs != nil {
@@ -844,7 +787,8 @@ func (e *Engine) tick(now int64) {
 
 	// 3. Execute the scheduled local steps, in parallel shards when
 	// configured (and the tick qualifies), sequentially otherwise. Both
-	// paths are stepMachine + finishStep per scheduled processor, so they
+	// are stepMachine + finishStepLocal + finishStep per scheduled
+	// processor, with the staged blocks merged once per tick, so they
 	// cannot diverge.
 	informed := false
 	ranPar := false
@@ -852,21 +796,24 @@ func (e *Engine) tick(now int64) {
 		stepped, informed, ranPar = e.tickPar(now)
 	}
 	if !ranPar {
+		nb := int(e.batchSeq - e.ringSeq0)
+		sb := &e.shard[0]
+		sb.begin(nb)
 		for _, i := range dec.Active {
 			if i < 0 || i >= e.cfg.P || e.crashed[i] || e.halted[i] {
 				continue
 			}
 			r := e.stepMachine(i, now, nil)
 			stepped++
+			e.finishStepLocal(i, now, &r, sb)
 			e.finishStep(i, now, &r, &informed)
 		}
+		e.mergeBlocks(1, nb)
 	}
 	e.idle = stepped == 0
-	if e.grouped {
-		// Retire batches whose last consumer stepped this unit (deferred
-		// off the per-step path: retirement only triggers once per batch).
-		e.popRetired()
-	}
+	// Retire batches whose last consumer stepped this unit (deferred off
+	// the per-step path: retirement only triggers once per batch).
+	e.popRetired()
 
 	// 4. Solved check: all tasks done and some live processor informed.
 	if !e.res.Solved && e.tasks.Undone() == 0 {
@@ -1004,45 +951,24 @@ func (e *Engine) broadcastOmitting(i int, now int64, payload any) {
 	// after scheduling the events is safe.
 	mc.outstanding = kept
 	e.inflight += int(kept)
-	if !e.stagedAcct {
-		// Every copy is charged, omitted or not. The staged parallel tick
-		// pre-reduced this per shard during A2 (the charge is omission-
-		// independent, so shards need no adversary queries to compute it).
-		n := int64(p - 1)
-		e.res.TotalMessages += n
-		e.res.Multicasts++
-		if !e.res.Solved {
-			e.res.Messages += n
-			e.res.Bytes += e.wireSize(i, payload) * n
-		}
-		if e.obs != nil {
-			e.obs.OnMulticast(i, now, payload, p-1)
-		}
+	if e.obs != nil {
+		// Every copy is charged, omitted or not (finishStepLocal staged
+		// the charge).
+		e.obs.OnMulticast(i, now, payload, p-1)
 	}
 	if kept == 0 {
 		// Every copy omitted: nothing is in flight, so the payload goes
-		// straight back to the sender's pool (after the accounting above,
-		// which still reads it).
+		// straight back to the sender's pool (after the hook above, which
+		// may still read it).
 		e.recycleMC(mc)
 	}
 }
 
-// finishMulticast applies the message accounting and observer hook shared
-// by both broadcast scheduling paths.
+// finishMulticast puts a scheduled broadcast's copies in flight and
+// reports it to the observer, for both broadcast scheduling paths. Its
+// message accounting was staged by finishStepLocal.
 func (e *Engine) finishMulticast(i int, now int64, payload any, recipients int) {
 	e.inflight += recipients
-	if e.stagedAcct {
-		// The staged parallel tick pre-reduced this accounting per shard
-		// during A2; only the in-flight count is order-dependent state.
-		return
-	}
-	n := int64(recipients)
-	e.res.TotalMessages += n
-	e.res.Multicasts++
-	if !e.res.Solved {
-		e.res.Messages += n
-		e.res.Bytes += e.wireSize(i, payload) * n
-	}
 	if e.obs != nil {
 		e.obs.OnMulticast(i, now, payload, recipients)
 	}

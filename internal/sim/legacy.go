@@ -92,6 +92,9 @@ func (s *legacyState) allStopped() bool {
 	return true
 }
 
+// pendingInbox implements View.Inbox.
+func (s *legacyState) pendingInbox(i int) []Delivery { return s.inbox[i] }
+
 // tick advances one global time unit.
 func (s *legacyState) tick(now int64) {
 	// 1. Deliver messages due now (or earlier, defensively). Each queued
@@ -112,10 +115,10 @@ func (s *legacyState) tick(now int64) {
 		T:        s.cfg.T,
 		Tasks:    s.tasks, // shared; adversaries must not mutate
 		Machines: s.machines,
-		Inboxes:  s.inbox,
 		Crashed:  s.crashed,
 		Halted:   s.halted,
 		InFlight: s.pending.len(),
+		pending:  s,
 	}
 	s.dec.reset()
 	dec := &s.dec

@@ -6,8 +6,8 @@ import "time"
 // parallel tick engine's three phases (see parallel.go): A1 is the
 // serial prefix (schedule filtering, the cache-build plan and its
 // fan-out, shadow seeding), A2 the parallel shard stepping, and B the
-// serial tail (staged-reduction merge plus the order-dependent residue,
-// or the full replay). Ticks counts the parallel ticks profiled;
+// serial tail (staged-reduction merge plus the order-dependent residue).
+// Ticks counts the parallel ticks profiled;
 // sequential-fallback ticks contribute nothing. The profile is monotone
 // over an Engine's lifetime — it is NOT reset by Run — so consumers
 // (the service's workers, the phase sub-benchmarks) take deltas between
@@ -42,25 +42,25 @@ func (e *Engine) PhaseProfile() TickPhaseProfile {
 // unchanged (guarded by the BenchmarkEngineMulticast* benchmarks against
 // the BENCH_0.json baselines).
 //
-// Observers are for traces, not for counting. An attached observer moves
-// the run off the grouped delivery path and the staged parallel phase B
-// (see below), so production paths — the sweep runner and the service's
-// worker fleet — attach none. The whole-run totals of every hook are in
-// Result instead: OnStep sums to TotalSteps, OnMulticast to Multicasts
-// (its recipients to TotalMessages), OnCrash/OnRevive/OnOmit to
-// Crashes/Revivals/Omissions, and OnSolved fires iff Solved.
+// Attaching an observer never changes the engine's code path: an
+// observed run takes the same delivery, stepping and accounting path as
+// an unobserved one and only adds the hook calls, so its Result is
+// identical. Observers are for traces, not for counting: the whole-run
+// totals of every hook are in Result already — OnStep sums to
+// TotalSteps, OnMulticast to Multicasts (its recipients to
+// TotalMessages), OnCrash/OnRevive/OnOmit to Crashes/Revivals/Omissions,
+// and OnSolved fires iff Solved — so production paths (the sweep runner
+// and the service's worker fleet) attach none.
 //
-// Hooks run synchronously inside the engine loop. Implementations must not
-// mutate anything they are handed and must not retain pointer arguments
-// beyond the call; the engine reuses the underlying storage. The legacy
+// Hooks run synchronously inside the engine loop, in the same order at
+// every shard count (Config.Shards): a time unit's deliveries message by
+// message in scheduling order, each to its live recipients in ascending
+// order; per step OnStep, then an OnOmit for each dropped copy, then
+// OnMulticast. Implementations must not mutate
+// anything they are handed and must not retain pointer arguments beyond
+// the call; the engine reuses the underlying storage. The legacy
 // reference engine (RunLegacy) ignores observers — it exists only for
 // equivalence checking.
-//
-// An attached observer also pins the parallel tick engine (Config.Shards
-// > 1) to its full serial phase-B replay: the staged per-shard accounting
-// reductions are skipped, because per-step hook order is part of this
-// contract. Observed sharded runs therefore trade some speed for the
-// exact sequential callback sequence.
 type Observer interface {
 	// OnStep fires after machine pid executed one local step at time now.
 	// r is the step's raw result, valid only for the duration of the call.
@@ -69,9 +69,10 @@ type Observer interface {
 	// point-to-point send (recipients = 1), after the message(s) were
 	// scheduled for delivery.
 	OnMulticast(from int, now int64, payload any, recipients int)
-	// OnDeliver fires when a message enters a live recipient's inbox.
-	// Messages addressed to crashed or halted processors are dropped
-	// without a callback, matching the accounting of the model.
+	// OnDeliver fires when a message is delivered to a live recipient,
+	// at the start of its delivery time unit. Messages addressed to
+	// crashed or halted processors are dropped without a callback,
+	// matching the accounting of the model.
 	OnDeliver(m Message)
 	// OnCrash fires when the adversary crashes processor pid at time now.
 	OnCrash(pid int, now int64)

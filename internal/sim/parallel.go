@@ -5,35 +5,35 @@ import "time"
 // The intra-run parallel tick engine (Config.Shards > 1). One time unit's
 // scheduled steps are executed by worker goroutines in three phases:
 //
-//  A1 (serial plan, parallel builds): under the grouped delivery path,
-//      the processors the sequential engine would hand each pending batch
-//      to first — the strictly-decreasing prefix minima of the consumers'
-//      batch cursors in schedule order — are identified serially, then
-//      their combined-knowledge caches are built concurrently: each
-//      builder machine's CombinedBuilder constructs and publishes the
-//      caches for exactly its batch range, from exactly the cursor state
-//      the sequential engine would use, without stepping. The builders'
-//      full steps (selector search, task execution) move into phase A2
-//      with everyone else's. Machines without CombinedBuilder support
-//      fall back to the pre-step serial walk for the whole tick.
+//  A1 (serial plan, parallel builds): the processors the sequential tick
+//      would hand each pending batch to first — the strictly-decreasing
+//      prefix minima of the consumers' batch cursors in schedule order —
+//      are identified serially, then their combined-knowledge caches are
+//      built concurrently: each builder machine's BatchConsumer.
+//      BuildCombined constructs and publishes the caches for exactly its
+//      batch range, from exactly the cursor state the sequential tick
+//      would use, without stepping. A prefix minimum that is not a
+//      BatchConsumer builds no cache when it steps, so it gets no job.
+//      The builders' full steps (selector search, task execution) run in
+//      phase A2 with everyone else's.
 //  A2 (parallel): the schedule is split into contiguous shards; each
 //      shard's machines step concurrently against shard-private shadow
 //      views of the ring (sharing the immutable multicast lists and the
 //      phase-A1 combined caches), so a machine that would build a cache
 //      in this phase publishes into its shard's shadow, never into a
-//      structure another shard reads. On observer-free ticks each shard
-//      also pre-reduces its steps' commutative accounting — step/work
-//      counters, task-execution classification, message and byte
-//      charges, batch cursor advancement and consumption counts — into
-//      its own cache-line-padded block.
-//  B (serial): the per-shard reductions are merged in one O(shards)
-//      pass, then only the genuinely order-dependent residue replays in
-//      schedule order — multicast publication into the pool and wheel
-//      (with its adversary delay queries), inbox release, task-ledger
-//      set-bits, halts, and the informed check — so every engine-shared
-//      structure mutates in exactly the sequential engine's order. Ticks
-//      with an Observer replay the full finishStep instead (the hooks
-//      fix the callback order).
+//      structure another shard reads. Each shard also stages its steps'
+//      commutative accounting (finishStepLocal) — step/work counters,
+//      task-execution classification, message and byte charges, batch
+//      cursor advancement and consumption counts — into its own
+//      cache-line-padded block.
+//  B (serial): the blocks are merged in one O(shards) pass (mergeBlocks,
+//      which the sequential tick also ends with), then the order-dependent
+//      rest of every step (finishStep) runs in schedule order — observer
+//      hooks, multicast publication into the pool and wheel (with its
+//      adversary delay queries), inbox release, task-ledger set-bits,
+//      halts, and the informed check — so every engine-shared structure
+//      mutates, and every hook fires, in exactly the sequential tick's
+//      order.
 //
 // Byte-identity argument, in brief: steps within one time unit are
 // input-independent (messages sent at time τ deliver at τ+1 at the
@@ -43,11 +43,12 @@ import "time"
 // merge cursors, never the working state, so build-ahead + apply-at-step
 // equals the sequential in-step build-and-apply), the staged accounting
 // is commutative across the tick's steps (Result.Solved is constant
-// within a tick, a task's primary/secondary class depends only on its
-// pre-tick ledger state, and message charges are omission-independent),
-// and phase B replays every remaining shared-state mutation in schedule
-// order. The equivalence matrix in internal/scenario asserts the
-// identity across all algorithms, fault adversaries, and shard counts.
+// within a tick, a task's primary/secondary class depends only on whether
+// an earlier time unit performed it, and message charges are
+// omission-independent), and phase B replays every remaining
+// shared-state mutation in schedule order. The equivalence matrix in
+// internal/scenario asserts the identity across all algorithms, fault
+// adversaries, and shard counts.
 //
 // Ticks that cannot be proven safe fall back to the sequential loop for
 // that unit: a schedule that is not strictly increasing (no registered
@@ -56,7 +57,7 @@ import "time"
 
 // shardBlock is one shard's private scratch: the worker's wake channel,
 // materialization scratch for non-BatchConsumer machines, the shadow
-// ring views, and the staged phase-B pre-reduction counters. The leading
+// ring views, and the staged accounting counters. The leading
 // and trailing pads keep neighboring blocks in the engine's shard slice
 // from sharing cache lines, so concurrent counter writes never
 // false-share.
@@ -67,9 +68,8 @@ type shardBlock struct {
 	shadow  []*Batch
 	nshadow int
 
-	// Staged phase-B pre-reduction, reset at the start of each staged
-	// tick: step and message accounting for the shard's schedule range,
-	// and consumed[o] = number of the shard's steppers whose first
+	// Staged accounting, reset at the start of each tick (begin): step and
+	// message accounting for the shard's schedule range, and consumed[o] = number of the shard's steppers whose first
 	// unconsumed pending batch is at ring offset o (batch b's remaining
 	// count then drops by the prefix sum over offsets ≤ b's).
 	steps     int64
@@ -83,15 +83,62 @@ type shardBlock struct {
 	_         [64]byte
 }
 
-// buildJob is one phase-A1 cache-construction assignment: schedule
-// position k's machine (a prefix-minimum consumer) builds the pending
-// batches in ring-offset range [lo, hi) — the batches the sequential
-// engine would hand it first.
+// buildJob is one phase-A1 cache-construction assignment: machine pid (a
+// prefix-minimum consumer) builds the pending batches in ring-offset
+// range [lo, hi) — the batches the sequential tick would hand it first.
 type buildJob struct {
 	pid int32
-	k   int32
 	lo  int32
 	hi  int32
+}
+
+// begin resets the block's staged accounting for a tick with nb pending
+// batches.
+func (sb *shardBlock) begin(nb int) {
+	sb.steps, sb.msgs, sb.mcasts, sb.bytes = 0, 0, 0, 0
+	sb.taskExecs, sb.primary, sb.secondary = 0, 0, 0
+	if cap(sb.consumed) < nb {
+		sb.consumed = make([]int32, nb)
+	}
+	sb.consumed = sb.consumed[:nb]
+	clear(sb.consumed)
+}
+
+// mergeBlocks folds the staged accounting of shard blocks [0, nsh) into
+// the Result and the nb pending batches' remaining counts.
+func (e *Engine) mergeBlocks(nsh, nb int) {
+	var steps, msgs, mcasts, bytes, texecs, prim, sec int64
+	for s := 0; s < nsh; s++ {
+		sb := &e.shard[s]
+		steps += sb.steps
+		msgs += sb.msgs
+		mcasts += sb.mcasts
+		bytes += sb.bytes
+		texecs += sb.taskExecs
+		prim += sb.primary
+		sec += sb.secondary
+	}
+	e.res.TotalSteps += steps
+	e.res.TaskExecutions += texecs
+	e.res.PrimaryExecutions += prim
+	e.res.SecondaryExecutions += sec
+	e.res.TotalMessages += msgs
+	e.res.Multicasts += mcasts
+	if !e.res.Solved {
+		e.res.Work += steps
+		e.res.Messages += msgs
+		e.res.Bytes += bytes
+	}
+	// Batch b's remaining count drops once per stepper whose first
+	// unconsumed offset is ≤ b's: a running prefix sum over the shards'
+	// consumption histograms.
+	cum := int32(0)
+	for o := 0; o < nb; o++ {
+		for s := 0; s < nsh; s++ {
+			cum += e.shard[s].consumed[o]
+		}
+		e.ringBuf[e.ringHead+o].remaining -= cum
+	}
 }
 
 // ensureShards grows the shard-block slice to nsh entries and launches
@@ -176,7 +223,7 @@ func shardRange(n, nsh, s int) (lo, hi int) {
 func (e *Engine) runBuilds(s int) {
 	lo, hi := shardRange(len(e.builds), e.parNbld, s)
 	for _, bj := range e.builds[lo:hi] {
-		cb := e.cbuilders[bj.pid]
+		cb := e.batchers[bj.pid]
 		for off := bj.lo; off < bj.hi; off++ {
 			b := e.ringBuf[e.ringHead+int(off)]
 			if b.Combined == nil {
@@ -190,95 +237,21 @@ func (e *Engine) runBuilds(s int) {
 	}
 }
 
-// runShard steps every non-phase-A1 machine in shard s's range of the
-// current tick's schedule, capturing results into parRes. On staged
-// ticks it also pre-reduces the range's commutative accounting into the
-// shard block: per-processor work and batch cursors are written directly
-// (each scheduled processor belongs to exactly one shard), everything
-// aggregated is summed locally and merged by the engine in phase B.
+// runShard steps every machine in shard s's range of the current tick's
+// schedule, capturing results into parRes, and stages the range's
+// commutative accounting into the shard block: per-processor work and
+// batch cursors are written directly (each scheduled processor belongs to
+// exactly one shard), everything aggregated is summed locally and merged
+// by the engine in phase B.
 func (e *Engine) runShard(s int) {
 	lo, hi := shardRange(e.parN, e.parNsh, s)
 	sb := &e.shard[s]
 	now := e.parNow
-	if !e.parStaged {
-		for k := lo; k < hi; k++ {
-			if e.isA1[k] {
-				continue
-			}
-			e.parRes[k] = e.stepMachine(int(e.stepList[k]), now, sb)
-		}
-		return
-	}
-	sb.steps, sb.msgs, sb.mcasts, sb.bytes = 0, 0, 0, 0
-	sb.taskExecs, sb.primary, sb.secondary = 0, 0, 0
-	nb := e.parNb
-	if cap(sb.consumed) < nb {
-		sb.consumed = make([]int32, nb)
-	}
-	sb.consumed = sb.consumed[:nb]
-	clear(sb.consumed)
+	sb.begin(e.parNb)
 	for k := lo; k < hi; k++ {
 		pid := int(e.stepList[k])
-		if !e.isA1[k] {
-			e.parRes[k] = e.stepMachine(pid, now, sb)
-		}
+		e.parRes[k] = e.stepMachine(pid, now, sb)
 		e.finishStepLocal(pid, now, &e.parRes[k], sb)
-	}
-}
-
-// finishStepLocal pre-reduces one step's commutative share of finishStep
-// into the step's shard block, during phase A2:
-//
-//   - batch cursor advancement (each processor's cursor is written only
-//     by its own shard) and the consumption histogram that phase B folds
-//     into the batches' remaining counts;
-//   - step and work counters (Result.Solved is constant within a tick,
-//     so the conditional split is applied once at merge time);
-//   - task-execution classification: primary iff the task was undone
-//     before this tick (pre-tick FirstDoneAt is -1; every same-tick
-//     performer of one task gets the same class, exactly as the
-//     sequential interleaving assigns). Out-of-range tasks are left for
-//     the serial residue's validation panic;
-//   - message, multicast and byte charges: a broadcast charges p-1
-//     messages and p-1 wire sizes and a valid send charges one of each,
-//     omitted or not, and either counts one multicast, so no adversary
-//     query is needed here and the stateful omit stream stays untouched
-//     until the residue replays it (which is where omissions are
-//     counted).
-func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock) {
-	if e.grouped {
-		cur := e.cursor[i]
-		if cur < e.ringSeq0 {
-			cur = e.ringSeq0
-		}
-		if cur < e.batchSeq {
-			sb.consumed[cur-e.ringSeq0]++
-			e.cursor[i] = e.batchSeq
-		}
-	}
-	sb.steps++
-	e.res.PerProcWork[i]++
-	if z := r.PerformedTask(); z != NoTask && z >= 0 && z < e.cfg.T {
-		sb.taskExecs++
-		if e.res.FirstDoneAt[z] == -1 {
-			sb.primary++
-		} else {
-			sb.secondary++
-		}
-	}
-	if r.Broadcast != nil && e.cfg.P > 1 {
-		n := int64(e.cfg.P - 1)
-		sb.msgs += n
-		sb.mcasts++
-		sb.bytes += e.wireSize(i, r.Broadcast) * n
-	}
-	for _, snd := range r.Sends {
-		if snd.To < 0 || snd.To >= e.cfg.P || snd.To == i || snd.Payload == nil {
-			continue
-		}
-		sb.msgs++
-		sb.mcasts++
-		sb.bytes += e.wireSize(i, snd.Payload)
 	}
 }
 
@@ -318,52 +291,32 @@ func (e *Engine) tickPar(now int64) (int, bool, bool) {
 		e.parRes = make([]StepResult, n)
 	}
 	e.parRes = e.parRes[:n]
-	if cap(e.isA1) < n {
-		e.isA1 = make([]bool, n)
-	}
-	e.isA1 = e.isA1[:n]
-	clear(e.isA1)
 
-	nb := 0
+	nb := int(e.batchSeq - e.ringSeq0)
 	e.builds = e.builds[:0]
-	if e.grouped && e.batchSeq > e.ringSeq0 {
-		nb = int(e.batchSeq - e.ringSeq0)
+	if nb > 0 {
 		// Phase A1: plan the cache builds. The first consumer of pending
 		// batch b is the first scheduled machine whose cursor is ≤ b's
 		// sequence, so the set of first consumers over all pending batches
 		// is exactly the strictly-decreasing prefix minima of the cursors,
 		// and each minimum's build range is [its cursor, previous minimum).
+		// A minimum that is not a BatchConsumer builds nothing in its step
+		// either, so it gets no job.
 		minCur := e.batchSeq
-		serialA1 := false
-		for k, pid := range sl {
-			cur := e.cursor[pid]
-			if cur < e.ringSeq0 {
-				cur = e.ringSeq0
-			}
+		for _, pid := range sl {
+			cur := max(e.cursor[pid], e.ringSeq0)
 			if cur < minCur {
-				e.builds = append(e.builds, buildJob{
-					pid: pid,
-					k:   int32(k),
-					lo:  int32(cur - e.ringSeq0),
-					hi:  int32(minCur - e.ringSeq0),
-				})
-				if e.cbuilders[pid] == nil {
-					serialA1 = true
+				if e.batchers[pid] != nil {
+					e.builds = append(e.builds, buildJob{
+						pid: pid,
+						lo:  int32(cur - e.ringSeq0),
+						hi:  int32(minCur - e.ringSeq0),
+					})
 				}
 				minCur = cur
 			}
 		}
-		if serialA1 {
-			// Some builder cannot build without stepping: fall back to
-			// stepping every prefix minimum serially against the real ring,
-			// in schedule order, publishing whatever caches those steps
-			// build — the previous generation's phase A1. (The scan itself
-			// mutates nothing, so plan-then-step equals step-during-scan.)
-			for _, bj := range e.builds {
-				e.isA1[bj.k] = true
-				e.parRes[bj.k] = e.stepMachine(int(bj.pid), now, nil)
-			}
-		} else if len(e.builds) > 0 {
+		if len(e.builds) > 0 {
 			// Fan the builds out across the parked workers, one or more
 			// whole builders per worker (a builder's own range is
 			// order-dependent through its merge cursors and cannot split).
@@ -411,11 +364,8 @@ func (e *Engine) tickPar(now int64) (int, bool, bool) {
 		}
 	}
 
-	// Phase A2: fan the remaining positions out across the shards. The
-	// engine's goroutine runs shard 0 itself. Staged accounting requires
-	// no Observer (hook order is a per-step contract that only the full
-	// replay preserves).
-	e.parStaged = e.obs == nil
+	// Phase A2: fan the schedule out across the shards. The engine's
+	// goroutine runs shard 0 itself.
 	e.parNow, e.parN, e.parNsh, e.parNb = now, n, nsh, nb
 	t1 := time.Now()
 	e.parDone.Add(nsh - 1)
@@ -426,52 +376,12 @@ func (e *Engine) tickPar(now int64) (int, bool, bool) {
 	e.parDone.Wait()
 	t2 := time.Now()
 
-	// Phase B: merge the per-shard reductions (one O(shards·batches)
-	// pass), then apply the order-dependent residue in schedule order —
-	// or, with an Observer attached, replay the full finishStep.
+	// Phase B: merge the staged blocks, then apply the order-dependent
+	// rest of every step in schedule order.
+	e.mergeBlocks(nsh, nb)
 	informed := false
-	if e.parStaged {
-		var steps, msgs, mcasts, bytes, texecs, prim, sec int64
-		for s := 0; s < nsh; s++ {
-			sb := &e.shard[s]
-			steps += sb.steps
-			msgs += sb.msgs
-			mcasts += sb.mcasts
-			bytes += sb.bytes
-			texecs += sb.taskExecs
-			prim += sb.primary
-			sec += sb.secondary
-		}
-		e.res.TotalSteps += steps
-		e.res.TaskExecutions += texecs
-		e.res.PrimaryExecutions += prim
-		e.res.SecondaryExecutions += sec
-		e.res.TotalMessages += msgs
-		e.res.Multicasts += mcasts
-		if !e.res.Solved {
-			e.res.Work += steps
-			e.res.Messages += msgs
-			e.res.Bytes += bytes
-		}
-		// Batch b's remaining count drops once per stepper whose first
-		// unconsumed offset is ≤ b's: a running prefix sum over the
-		// shards' consumption histograms.
-		cum := int32(0)
-		for o := 0; o < nb; o++ {
-			for s := 0; s < nsh; s++ {
-				cum += e.shard[s].consumed[o]
-			}
-			e.ringBuf[e.ringHead+o].remaining -= cum
-		}
-		e.stagedAcct = true
-		for k, pid := range sl {
-			e.finishStepResidue(int(pid), now, &e.parRes[k], &informed)
-		}
-		e.stagedAcct = false
-	} else {
-		for k, pid := range sl {
-			e.finishStep(int(pid), now, &e.parRes[k], &informed)
-		}
+	for k, pid := range sl {
+		e.finishStep(int(pid), now, &e.parRes[k], &informed)
 	}
 
 	// Reclaim shard-built shadow caches (the real batch kept the phase-A1

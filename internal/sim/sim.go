@@ -262,36 +262,30 @@ type View struct {
 	// Machines exposes processor state for intent probing and cloning.
 	// Adversaries must not call Step on these.
 	Machines []Machine
-	// Inboxes[i] holds the per-recipient deliveries made to processor i
-	// but not yet consumed by a step. Adversaries must treat them as
-	// read-only; the off-line lower-bound adversary copies them into
-	// machine clones when looking a stage ahead. Under the multicast
-	// engine's grouped delivery path, pending uniform multicasts live in
-	// shared delivery groups instead of per-recipient inboxes — that path
-	// is only enabled for adversaries that declare themselves
-	// InboxAgnostic, so adversaries that read Inboxes always see every
-	// pending delivery here.
-	Inboxes [][]Delivery
 	// Crashed[i] and Halted[i] report processor i's status.
 	Crashed, Halted []bool
 	// InFlight is the number of undelivered messages.
 	InFlight int
+	// pending answers Inbox for the engine that built the view.
+	pending inboxSource
+}
+
+// inboxSource is the engine behind View.Inbox.
+type inboxSource interface {
+	pendingInbox(i int) []Delivery
 }
 
 // Undone returns the number of tasks not yet performed by anyone
 // (shorthand for Tasks.Undone()).
 func (v *View) Undone() int { return v.Tasks.Undone() }
 
-// InboxAgnostic is an optional Adversary extension declaring that the
-// adversary never reads View.Inboxes. The multicast engine enables its
-// grouped delivery path — one shared delivery group per time unit of
-// uniform multicasts instead of p-1 per-recipient inbox appends — only
-// for adversaries that return true, because grouped pending deliveries
-// are not visible in View.Inboxes. Combinators forward the question to
-// their inner adversary.
-type InboxAgnostic interface {
-	InboxAgnostic() bool
-}
+// Inbox returns the deliveries made to processor i but not yet consumed
+// by a step, in the order i's next step will see them; empty for crashed
+// and halted processors. The slice is engine scratch, valid until the next
+// Inbox call or the end of the Schedule call: copy it to keep it.
+// Adversaries must treat the deliveries as read-only. Theorem 3.1's
+// off-line adversary uses it to run machine clones a stage ahead.
+func (v *View) Inbox(i int) []Delivery { return v.pending.pendingInbox(i) }
 
 // Batch is one shared delivery group of the multicast engine's grouped
 // path: every uniform multicast delivered at one time unit, stored once
@@ -320,41 +314,35 @@ type Batch struct {
 	remaining int32
 }
 
-// BatchConsumer is an optional Machine extension for the grouped delivery
-// path: StepBatched is Step with the pending deliveries presented as
-// shared delivery groups (batches, oldest first) plus any per-recipient
+// BatchConsumer is an optional Machine extension for grouped delivery:
+// StepBatched is Step with the pending deliveries presented as shared
+// delivery groups (batches, oldest first) plus any per-recipient
 // deliveries (tail). It must be semantically identical to calling Step
 // with the same deliveries materialized in time order; implementations
 // must therefore be merge-order-insensitive (the algorithms' monotone
 // knowledge unions are). Machines that do not implement the interface
-// still run under the grouped engine — their batches are materialized
-// into an ordinary inbox slice.
+// still run under grouped delivery — their batches are materialized into
+// an ordinary inbox slice.
+//
+// BuildCombined builds and publishes b's combined knowledge cache
+// (Batch.Combined / Batch.Builder) from this machine's receive-cursor
+// state — exactly the cache its own StepBatched would build on first
+// consuming b — without consuming the batch. The machine's knowledge must
+// not change; its per-sender merge cursors advance exactly as the in-step
+// build would. The split is what lets the parallel tick engine construct
+// caches concurrently (phase A1): the builds read only the builder's
+// private cursors plus the batch's immutable payloads, so distinct
+// builders can construct their (disjoint) batch ranges at once, and the
+// builder's own later StepBatched finds the published caches and applies
+// them — monotone unions land it on the same state the combined
+// build-and-apply would have. BuildCombined must return false —
+// publishing nothing and mutating nothing (aborted accumulation scratch
+// excepted, exactly as an in-step aborted build) — when the batch's
+// payloads are not combinable by this machine; the engine then leaves the
+// batch cache-less, which every consumer handles by its eager fallback.
 type BatchConsumer interface {
 	Machine
 	StepBatched(now int64, batches []*Batch, tail []Delivery) StepResult
-}
-
-// CombinedBuilder is an optional BatchConsumer extension for the parallel
-// tick engine's sharded cache construction (phase A1): BuildCombined
-// builds and publishes b's combined knowledge cache (Batch.Combined /
-// Batch.Builder) from this machine's receive-cursor state — exactly the
-// cache its own StepBatched would build on first consuming b — without
-// consuming the batch. The machine's knowledge must not change; its
-// per-sender merge cursors advance exactly as the in-step build would.
-// The split is what makes cache construction parallelizable: the builds
-// read only the builder's private cursors plus the batch's immutable
-// payloads, so distinct builders can construct their (disjoint) batch
-// ranges concurrently, and the builder's own later StepBatched finds the
-// published caches and applies them — monotone unions land it on the
-// same state the combined build-and-apply would have.
-//
-// BuildCombined must return false — publishing nothing and mutating
-// nothing (aborted accumulation scratch excepted, exactly as an in-step
-// aborted build) — when the batch's payloads are not combinable by this
-// machine; the engine then leaves the batch cache-less, which every
-// consumer handles by its eager fallback.
-type CombinedBuilder interface {
-	BatchConsumer
 	BuildCombined(b *Batch) bool
 }
 
@@ -551,8 +539,9 @@ type Config struct {
 	// TotalSteps/TotalMessages differ.
 	StopAtSolved bool
 	// Observer, when non-nil, receives a callback at every observable
-	// event of the execution (see Observer). Nil costs nothing on the hot
-	// path. The legacy reference engine (RunLegacy) ignores it.
+	// event of the execution (see Observer). Attaching one never changes
+	// the engine's code path, only which hooks are called; nil costs
+	// nothing. The legacy reference engine (RunLegacy) ignores it.
 	Observer Observer
 	// Shards enables the intra-run parallel tick engine: each time unit's
 	// live-processor schedule is split into Shards contiguous ranges whose

@@ -45,8 +45,6 @@ type (
 const (
 	// BackendSim is the deterministic multicast-native simulator (default).
 	BackendSim = scenario.BackendSim
-	// BackendSimLegacy is the per-message reference engine.
-	BackendSimLegacy = scenario.BackendSimLegacy
 	// BackendRuntime executes machines on real goroutines.
 	BackendRuntime = scenario.BackendRuntime
 )
@@ -182,7 +180,7 @@ type (
 const (
 	// QuickScale keeps each experiment under ~1s.
 	QuickScale = harness.Quick
-	// FullScale uses the sizes behind EXPERIMENTS.md.
+	// FullScale uses the full experiment sizes (cmd/experiments -scale full).
 	FullScale = harness.Full
 )
 
