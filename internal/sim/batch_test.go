@@ -46,12 +46,12 @@ func (m *chatty) Step(now int64, inbox []Delivery) StepResult {
 func (m *chatty) KnowsAllDone() bool { return true }
 
 // TestGroupedMaterializationMatchesEager runs plain machines (no
-// BatchConsumer) under the grouped engine and under the per-message
-// reference engine (RunLegacy), checking the delivered message flow is
-// identical — materialized batches must be indistinguishable from eager
-// per-recipient delivery.
+// BatchConsumer) under the grouped engine, sequential and sharded, and
+// under the per-message reference engine (RunLegacy), checking the
+// delivered message flow is identical — materialized batches must be
+// indistinguishable from eager per-recipient delivery.
 func TestGroupedMaterializationMatchesEager(t *testing.T) {
-	run := func(engine func(Config, []Machine, Adversary) (*Result, error)) []*chatty {
+	run := func(engine func(Config, []Machine, Adversary) (*Result, error), shards int) []*chatty {
 		const p = 5
 		ms := make([]Machine, p)
 		cs := make([]*chatty, p)
@@ -61,21 +61,23 @@ func TestGroupedMaterializationMatchesEager(t *testing.T) {
 		}
 		// The first machine performs every task so the run solves.
 		ms[0] = &solver{chatty: cs[0]}
-		if _, err := engine(Config{P: p, T: 1}, ms, &batchFair{d: 2}); err != nil {
+		if _, err := engine(Config{P: p, T: 1, Shards: shards}, ms, &batchFair{d: 2}); err != nil {
 			t.Fatal(err)
 		}
 		return cs
 	}
-	grouped := run(Run)
-	eager := run(RunLegacy)
-	for i := range grouped {
-		if grouped[i].own != 0 || eager[i].own != 0 {
-			t.Fatalf("machine %d saw its own multicast (grouped=%d eager=%d)",
-				i, grouped[i].own, eager[i].own)
-		}
-		if grouped[i].received != eager[i].received || grouped[i].steps != eager[i].steps {
-			t.Fatalf("machine %d: grouped received=%d steps=%d, eager received=%d steps=%d",
-				i, grouped[i].received, grouped[i].steps, eager[i].received, eager[i].steps)
+	eager := run(RunLegacy, 1)
+	for _, shards := range []int{1, 2, 3} {
+		grouped := run(Run, shards)
+		for i := range grouped {
+			if grouped[i].own != 0 || eager[i].own != 0 {
+				t.Fatalf("shards=%d: machine %d saw its own multicast (grouped=%d eager=%d)",
+					shards, i, grouped[i].own, eager[i].own)
+			}
+			if grouped[i].received != eager[i].received || grouped[i].steps != eager[i].steps {
+				t.Fatalf("shards=%d: machine %d: grouped received=%d steps=%d, eager received=%d steps=%d",
+					shards, i, grouped[i].received, grouped[i].steps, eager[i].received, eager[i].steps)
+			}
 		}
 	}
 }
