@@ -69,9 +69,10 @@ type shardBlock struct {
 	nshadow int
 
 	// Staged accounting, reset at the start of each tick (begin): step and
-	// message accounting for the shard's schedule range, and consumed[o] = number of the shard's steppers whose first
-	// unconsumed pending batch is at ring offset o (batch b's remaining
-	// count then drops by the prefix sum over offsets ≤ b's).
+	// message accounting for the shard's schedule range, and consumed[o] =
+	// number of the shard's steppers whose first unconsumed pending batch
+	// is at ring offset o (batch b's remaining count then drops by the
+	// prefix sum over offsets ≤ b's).
 	steps     int64
 	msgs      int64
 	mcasts    int64
