@@ -44,9 +44,8 @@ func (o *deliveryHash) OnDeliver(m sim.Message) {
 // assertKernelPin runs sc at shards 1, 2 and 7, plus once observed, and
 // requires every run to reproduce the recorded result digest. The pin is
 // "<result digest> dlv=<delivery hash>": the observed run must also
-// reproduce the delivery-callback stream. An observer forces the eager
-// delivery path, whose fault branch fans every uniform multicast out to
-// its live recipients one by one. A time cap far above every pinned run
+// reproduce the delivery-callback stream, in which every uniform
+// multicast fans out to its live recipients one by one. A time cap far above every pinned run
 // makes a kernel that livelocks fail fast instead of hanging.
 func assertKernelPin(t *testing.T, sc Scenario, want string) {
 	t.Helper()

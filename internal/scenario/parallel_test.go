@@ -54,10 +54,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialObserved repeats a slice of the matrix
-// with an observer attached: observers disable the grouped delivery
-// path, so this pins the parallel engine's ungrouped (per-delivery
-// materialization) route, and additionally checks the observers of both
-// engines saw identical event streams, and that the Result's event
+// with an observer attached, checks the observers of the sequential and
+// sharded ticks saw identical event streams, and that the Result's event
 // counts equal an observer's hook totals at every shard count.
 func TestParallelMatchesSequentialObserved(t *testing.T) {
 	for _, algo := range []string{AlgoPaRan1, AlgoDA} {
@@ -88,9 +86,7 @@ func TestParallelMatchesSequentialObserved(t *testing.T) {
 		})
 	}
 	// The Result's whole-run event counts must equal an observer's hook
-	// totals on every engine path: the unobserved run takes grouped
-	// delivery and (sharded) the staged phase B, the observed one the
-	// eager path and the full replay.
+	// totals at every shard count.
 	for _, algo := range []string{AlgoDA, AlgoPaRan1, AlgoPaRan2} {
 		for _, adv := range []string{
 			"fair",

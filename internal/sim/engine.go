@@ -633,11 +633,16 @@ func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock
 			sb.secondary++
 		}
 	}
+	// Bytes count only until Solved (mergeBlocks drops them after), so
+	// the wire sizes are not computed past it.
+	counting := !e.res.Solved
 	if r.Broadcast != nil && e.cfg.P > 1 {
 		n := int64(e.cfg.P - 1)
 		sb.msgs += n
 		sb.mcasts++
-		sb.bytes += e.wireSize(i, r.Broadcast) * n
+		if counting {
+			sb.bytes += e.wireSize(i, r.Broadcast) * n
+		}
 	}
 	for _, snd := range r.Sends {
 		if snd.To < 0 || snd.To >= e.cfg.P || snd.To == i || snd.Payload == nil {
@@ -645,7 +650,9 @@ func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock
 		}
 		sb.msgs++
 		sb.mcasts++
-		sb.bytes += e.wireSize(i, snd.Payload)
+		if counting {
+			sb.bytes += e.wireSize(i, snd.Payload)
+		}
 	}
 }
 
