@@ -470,7 +470,7 @@ func (e *Engine) deliverBucket(evs []wevent, at int64) {
 }
 
 // deliver appends one due event's deliveries to the recipient inboxes
-// (the eager path).
+// (eager delivery, for buckets holding a per-recipient event).
 func (e *Engine) deliver(ev wevent, at int64) {
 	mc := ev.mc
 	if ev.to >= 0 {
@@ -481,19 +481,8 @@ func (e *Engine) deliver(ev wevent, at int64) {
 	// A uniform event is a broadcast: its recipients are every processor
 	// but the sender, fanned out in ascending id order.
 	e.inflight -= e.cfg.P - 1
-	from := mc.From
-	if e.stopped == 0 && e.obs == nil {
-		// Fast path for the common benign case: every processor is live,
-		// no observer — no per-recipient liveness checks or hook branches.
-		for j := range e.inbox {
-			if j != from {
-				e.inbox[j] = append(e.inbox[j], Delivery{MC: mc, At: at})
-			}
-		}
-		return
-	}
 	for j := range e.inbox {
-		if j != from {
+		if j != mc.From {
 			e.deliverOne(mc, j, at)
 		}
 	}
