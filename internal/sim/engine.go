@@ -614,7 +614,7 @@ func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock
 	}
 	sb.steps++
 	e.res.PerProcWork[i]++
-	if z := r.PerformedTask(); z != NoTask && z >= 0 && z < e.cfg.T {
+	if z := r.PerformedTask(); uint(z) < uint(e.cfg.T) { // NoTask and out-of-range tasks skip
 		sb.taskExecs++
 		if first := e.res.FirstDoneAt[z]; first == -1 || first == now {
 			sb.primary++
