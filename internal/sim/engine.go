@@ -97,7 +97,7 @@ type Engine struct {
 	cursor    []int64
 	batchers  []BatchConsumer
 	freeBatch []*Batch
-	scratch   []Delivery // materialized inbox for non-BatchConsumer machines and View.Inbox
+	scratch   []Delivery // View.Inbox's materialized inbox
 
 	// Tick state; see parallel.go. shards is the resolved per-run shard
 	// count (1 = sequential). The shard blocks hold per-shard scratch, the
@@ -550,66 +550,60 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 	return sc, sc
 }
 
-// stepMachine runs machine i's local step for this time unit and returns
-// its StepResult, touching NO engine-shared mutable state: batch cursors,
-// remaining counts, inbox truncation, accounting, broadcasts, and sends
-// are all applied later by finishStepLocal and finishStep. The split is
-// what makes the parallel tick engine possible — concurrent stepMachine
-// calls for distinct machines are data-race-free because a step reads
-// only the machine's own state, immutable snapshots/batches, and
-// published combined caches (built before the parallel phase; see
-// tickPar).
+// stepMachine runs machine i's local step for this time unit and stages
+// the step's commutative share of the engine update into shard block sb:
+// batch cursor advancement and the consumption histogram that mergeBlocks
+// folds into the batches' remaining counts, step and work counters,
+// task-execution classification, and message, multicast and byte
+// charges. Everything order-dependent — inbox release, broadcasts and
+// sends, the task ledger, halts, observer hooks — is left to finishStep.
+// It runs on the engine's goroutine in the sequential tick (block 0) and
+// on the step's shard worker in a parallel one, and besides the machine
+// writes only sb and the stepping processor's own cursor and PerProcWork
+// entry. That is what makes the parallel tick possible: concurrent calls
+// for distinct machines are data-race-free because a step reads only the
+// machine's own state, immutable snapshots/batches, and published
+// combined caches (built before the parallel phase; see tickPar).
 //
-// sb selects the scratch the call may use: nil means the engine's own
-// (the sequential tick); a shard block routes batch views through the
-// shard's shadow batches and materializes non-BatchConsumer inboxes into
-// shard-private scratch.
-func (e *Engine) stepMachine(i int, now int64, sb *shardBlock) StepResult {
-	inbox := e.inbox[i]
-	pend := e.pending(i)
-	if len(pend) == 0 {
-		return e.machines[i].Step(now, inbox)
-	}
-	if bc := e.batchers[i]; bc != nil {
-		if sb != nil {
-			// The shard's shadows of the same pending batches.
-			pend = sb.shadow[sb.nshadow-len(pend) : sb.nshadow]
-		}
-		return bc.StepBatched(now, pend, inbox)
-	}
-	if sb != nil {
-		var sc []Delivery
-		sc, sb.scratch = materializeInto(sb.scratch, pend, inbox, i)
-		return e.machines[i].Step(now, sc)
-	}
-	return e.machines[i].Step(now, e.materialize(pend, inbox, i))
-}
-
-// finishStepLocal stages one step's commutative share of the engine
-// update into shard block sb: batch cursor advancement and the
-// consumption histogram that mergeBlocks folds into the batches'
-// remaining counts, step and work counters, task-execution
-// classification, and message, multicast and byte charges. It runs right
-// after the step — on the engine's goroutine in the sequential tick, on
-// the step's shard worker in a parallel one — and writes only sb and the
-// stepping processor's own cursor and PerProcWork entry.
+// BatchConsumer machines read the real ring in the sequential tick and
+// their shard's shadow batches in a parallel one (sb.nshadow > 0); other
+// machines get their batches materialized into sb's scratch.
 //
 //   - Result.Solved is constant within a tick, so the conditional work and
 //     message split is applied once, at merge time.
 //   - A task is primary iff no earlier time unit performed it:
 //     FirstDoneAt is -1, or now because an earlier step of this tick
 //     already performed it (possible only in the sequential tick, whose
-//     residue runs between steps). Out-of-range tasks are left for the
-//     residue's validation panic.
+//     finishStep runs between steps). Out-of-range tasks are left for
+//     finishStep's validation panic.
 //   - A broadcast charges p-1 messages and p-1 wire sizes and a valid send
 //     charges one of each, omitted or not, and either counts one
 //     multicast, so no adversary query is needed here and the stateful
-//     omit stream stays untouched until the residue replays it (which is
+//     omit stream stays untouched until finishStep replays it (which is
 //     where omissions are counted).
-func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock) {
-	cur := max(e.cursor[i], e.ringSeq0)
-	if cur < e.batchSeq {
-		sb.consumed[cur-e.ringSeq0]++
+func (e *Engine) stepMachine(i int, now int64, sb *shardBlock) StepResult {
+	var r StepResult
+	inbox := e.inbox[i]
+	pend := e.pending(i)
+	switch bc := e.batchers[i]; {
+	case len(pend) == 0:
+		r = e.machines[i].Step(now, inbox)
+	case bc != nil:
+		if sb.nshadow > 0 {
+			// The shard's shadows of the same pending batches.
+			pend = sb.shadow[sb.nshadow-len(pend) : sb.nshadow]
+		}
+		r = bc.StepBatched(now, pend, inbox)
+	default:
+		var sc []Delivery
+		sc, sb.scratch = materializeInto(sb.scratch, pend, inbox, i)
+		r = e.machines[i].Step(now, sc)
+	}
+
+	if n := len(pend); n > 0 {
+		// The first pending batch's ring offset (sb.consumed has one entry
+		// per pending batch).
+		sb.consumed[len(sb.consumed)-n]++
 		e.cursor[i] = e.batchSeq
 	}
 	sb.steps++
@@ -643,10 +637,11 @@ func (e *Engine) finishStepLocal(i int, now int64, r *StepResult, sb *shardBlock
 			sb.bytes += e.wireSize(i, snd.Payload)
 		}
 	}
+	return r
 }
 
 // finishStep applies the order-dependent rest of a completed step, in
-// schedule order after finishStepLocal staged its commutative share:
+// schedule order after stepMachine staged its commutative share:
 // inbox release, the observer's OnStep, task-ledger set-bits (in schedule
 // order, so the Undone count each halt check reads is exactly the
 // mid-tick value), multicast publication into the ring and wheel (with
@@ -783,9 +778,8 @@ func (e *Engine) tick(now int64) {
 
 	// 3. Execute the scheduled local steps, in parallel shards when
 	// configured (and the tick qualifies), sequentially otherwise. Both
-	// are stepMachine + finishStepLocal + finishStep per scheduled
-	// processor, with the staged blocks merged once per tick, so they
-	// cannot diverge.
+	// are stepMachine + finishStep per scheduled processor, with the
+	// staged blocks merged once per tick, so they cannot diverge.
 	informed := false
 	ranPar := false
 	if e.shards > 1 {
@@ -799,9 +793,8 @@ func (e *Engine) tick(now int64) {
 			if i < 0 || i >= e.cfg.P || e.crashed[i] || e.halted[i] {
 				continue
 			}
-			r := e.stepMachine(i, now, nil)
+			r := e.stepMachine(i, now, sb)
 			stepped++
-			e.finishStepLocal(i, now, &r, sb)
 			e.finishStep(i, now, &r, &informed)
 		}
 		e.mergeBlocks(1, nb)
@@ -948,8 +941,8 @@ func (e *Engine) broadcastOmitting(i int, now int64, payload any) {
 	mc.outstanding = kept
 	e.inflight += int(kept)
 	if e.obs != nil {
-		// Every copy is charged, omitted or not (finishStepLocal staged
-		// the charge).
+		// Every copy is charged, omitted or not (stepMachine staged the
+		// charge).
 		e.obs.OnMulticast(i, now, payload, p-1)
 	}
 	if kept == 0 {
@@ -962,7 +955,7 @@ func (e *Engine) broadcastOmitting(i int, now int64, payload any) {
 
 // finishMulticast puts a scheduled broadcast's copies in flight and
 // reports it to the observer, for both broadcast scheduling paths. Its
-// message accounting was staged by finishStepLocal.
+// message accounting was staged by stepMachine.
 func (e *Engine) finishMulticast(i int, now int64, payload any, recipients int) {
 	e.inflight += recipients
 	if e.obs != nil {

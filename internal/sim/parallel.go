@@ -22,7 +22,7 @@ import "time"
 //      phase-A1 combined caches), so a machine that would build a cache
 //      in this phase publishes into its shard's shadow, never into a
 //      structure another shard reads. Each shard also stages its steps'
-//      commutative accounting (finishStepLocal) — step/work counters,
+//      commutative accounting (stepMachine) — step/work counters,
 //      task-execution classification, message and byte charges, batch
 //      cursor advancement and consumption counts — into its own
 //      cache-line-padded block.
@@ -252,7 +252,6 @@ func (e *Engine) runShard(s int) {
 	for k := lo; k < hi; k++ {
 		pid := int(e.stepList[k])
 		e.parRes[k] = e.stepMachine(pid, now, sb)
-		e.finishStepLocal(pid, now, &e.parRes[k], sb)
 	}
 }
 
