@@ -550,8 +550,9 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 	return sc, sc
 }
 
-// stepMachine runs machine i's local step for this time unit and stages
-// the step's commutative share of the engine update into shard block sb:
+// stepMachine runs machine i's local step for this time unit, stores its
+// result in *r, and stages the step's commutative share of the engine
+// update into shard block sb:
 // batch cursor advancement and the consumption histogram that mergeBlocks
 // folds into the batches' remaining counts, step and work counters,
 // task-execution classification, and message, multicast and byte
@@ -581,23 +582,22 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 //     multicast, so no adversary query is needed here and the stateful
 //     omit stream stays untouched until finishStep replays it (which is
 //     where omissions are counted).
-func (e *Engine) stepMachine(i int, now int64, sb *shardBlock) StepResult {
-	var r StepResult
+func (e *Engine) stepMachine(i int, now int64, sb *shardBlock, r *StepResult) {
 	inbox := e.inbox[i]
 	pend := e.pending(i)
 	switch bc := e.batchers[i]; {
 	case len(pend) == 0:
-		r = e.machines[i].Step(now, inbox)
+		*r = e.machines[i].Step(now, inbox)
 	case bc != nil:
 		if sb.nshadow > 0 {
 			// The shard's shadows of the same pending batches.
 			pend = sb.shadow[sb.nshadow-len(pend) : sb.nshadow]
 		}
-		r = bc.StepBatched(now, pend, inbox)
+		*r = bc.StepBatched(now, pend, inbox)
 	default:
 		var sc []Delivery
 		sc, sb.scratch = materializeInto(sb.scratch, pend, inbox, i)
-		r = e.machines[i].Step(now, sc)
+		*r = e.machines[i].Step(now, sc)
 	}
 
 	if n := len(pend); n > 0 {
@@ -637,7 +637,6 @@ func (e *Engine) stepMachine(i int, now int64, sb *shardBlock) StepResult {
 			sb.bytes += e.wireSize(i, snd.Payload)
 		}
 	}
-	return r
 }
 
 // finishStep applies the order-dependent rest of a completed step, in
@@ -789,11 +788,12 @@ func (e *Engine) tick(now int64) {
 		nb := int(e.batchSeq - e.ringSeq0)
 		sb := &e.shard[0]
 		sb.begin(nb)
+		var r StepResult
 		for _, i := range dec.Active {
 			if i < 0 || i >= e.cfg.P || e.crashed[i] || e.halted[i] {
 				continue
 			}
-			r := e.stepMachine(i, now, sb)
+			e.stepMachine(i, now, sb, &r)
 			stepped++
 			e.finishStep(i, now, &r, &informed)
 		}

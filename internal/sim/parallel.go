@@ -251,7 +251,7 @@ func (e *Engine) runShard(s int) {
 	sb.begin(e.parNb)
 	for k := lo; k < hi; k++ {
 		pid := int(e.stepList[k])
-		e.parRes[k] = e.stepMachine(pid, now, sb)
+		e.stepMachine(pid, now, sb, &e.parRes[k])
 	}
 }
 
