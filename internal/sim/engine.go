@@ -551,12 +551,12 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 }
 
 // stepMachine runs machine i's local step for this time unit, stores its
-// result in *r, and stages the step's commutative share of the engine
-// update into shard block sb:
-// batch cursor advancement and the consumption histogram that mergeBlocks
-// folds into the batches' remaining counts, step and work counters,
-// task-execution classification, and message, multicast and byte
-// charges. Everything order-dependent — inbox release, broadcasts and
+// result in *r (in place: the result is seven words, and copying it out
+// and back costs measurably per step), and stages the step's commutative
+// share of the engine update into shard block sb: batch cursor
+// advancement and the consumption histogram that mergeBlocks folds into
+// the batches' remaining counts, step and work counters, task-execution
+// classification, and message, multicast and byte charges. Everything order-dependent — inbox release, broadcasts and
 // sends, the task ledger, halts, observer hooks — is left to finishStep.
 // It runs on the engine's goroutine in the sequential tick (block 0) and
 // on the step's shard worker in a parallel one, and besides the machine
