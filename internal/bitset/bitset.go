@@ -44,6 +44,14 @@ func (s *Set) Set(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
+// OrWord ORs bits into word w (bits 64w … 64w+63) and returns the newly
+// set bits. Bits at or past Len() must be clear in bits.
+func (s *Set) OrWord(w int, bits uint64) uint64 {
+	neu := bits &^ s.words[w]
+	s.words[w] |= neu
+	return neu
+}
+
 // Clear clears bit i.
 func (s *Set) Clear(i int) {
 	s.check(i)

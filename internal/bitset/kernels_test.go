@@ -109,3 +109,40 @@ func TestUnionDirtyStampsChangedWords(t *testing.T) {
 		}
 	}
 }
+
+// TestOrWordStampsOnce ORs words one at a time: OrWord must return exactly
+// the new bits, and a Versioned must stamp a changed word dirty once per
+// snapshot however often it changes, and never stamp an unchanged one.
+func TestOrWordStampsOnce(t *testing.T) {
+	v := NewVersioned(200) // words 0–3, the last one partial
+	if neu := v.OrWord(1, 0b1010); neu != 0b1010 {
+		t.Fatalf("first OR returned %b, want 1010", neu)
+	}
+	if neu := v.OrWord(1, 0b0110); neu != 0b0100 {
+		t.Fatalf("second OR returned %b, want 100", neu)
+	}
+	if neu := v.OrWord(1, 0b0010); neu != 0 {
+		t.Fatalf("repeated OR returned %b, want 0", neu)
+	}
+	if neu := v.OrWord(3, 1<<7); neu != 1<<7 {
+		t.Fatalf("OR into the partial word returned %b", neu)
+	}
+	if len(v.dirty) != 2 || v.dirty[0] != 1 || v.dirty[1] != 3 {
+		t.Fatalf("dirty = %v, want [1 3]", v.dirty)
+	}
+	for _, i := range []int{65, 66, 67, 64*3 + 7} {
+		if !v.Get(i) {
+			t.Fatalf("bit %d not set", i)
+		}
+	}
+	if v.Count() != 4 {
+		t.Fatalf("Count = %d, want 4", v.Count())
+	}
+	s := v.Snapshot()
+	if d := s.Delta(); len(d) != 2 || d[0] != (DeltaWord{1, 0b1110}) || d[1] != (DeltaWord{3, 1 << 7}) {
+		t.Fatalf("snapshot delta = %v", d)
+	}
+	if v.OrWord(1, 0b1110) != 0 || len(v.dirty) != 0 {
+		t.Fatal("an OR that sets nothing stamped its word dirty")
+	}
+}

@@ -143,6 +143,16 @@ func (v *Versioned) Set(i int) {
 	}
 }
 
+// OrWord ORs bits into word w, stamping the word dirty once if any bit
+// is new, and returns the newly set bits.
+func (v *Versioned) OrWord(w int, bits uint64) uint64 {
+	neu := v.set.OrWord(w, bits)
+	if neu != 0 {
+		v.touch(w)
+	}
+	return neu
+}
+
 // UnionWith ORs a plain set into v (the monotone knowledge merge),
 // stamping every changed word, and returns the number of bits newly set.
 func (v *Versioned) UnionWith(other *Set) int {

@@ -270,6 +270,65 @@ func TestNextTaskMatchesStepDA(t *testing.T) {
 	t.Fatal("DA did not finish in 200 steps")
 }
 
+// TestDANextTaskAfterMergesAllocatesNothing runs DA machines at different
+// speeds that merge each other's snapshots before predicting, so their
+// stacks hold frames — leaves mid-job included — that a peer already
+// finished. NextTask must predict the task the following step performs,
+// and must not allocate.
+func TestDANextTaskAfterMergesAllocatesNothing(t *testing.T) {
+	for _, q := range []int{2, 3} {
+		const p = 4
+		ms := daMachines(t, p, 40, q, 5)
+		var mail []sim.Delivery
+		for round := int64(0); round < 1000; round++ {
+			var sent []sim.Delivery
+			live := 0
+			for i, mach := range ms {
+				m := mach.(*DA)
+				if m.Halted() {
+					continue
+				}
+				live++
+				if round%int64(i+1) != 0 {
+					continue // machines run at different speeds
+				}
+				if round%3 == 0 {
+					var inbox []sim.Delivery
+					for _, d := range mail {
+						if d.MC.From != i {
+							inbox = append(inbox, d)
+						}
+					}
+					m.merge(inbox)
+				}
+				want := m.NextTask()
+				if a := testing.AllocsPerRun(5, func() { m.NextTask() }); a != 0 {
+					t.Fatalf("q=%d round %d: NextTask allocates %v times", q, round, a)
+				}
+				r := m.Step(round, nil)
+				if r.PerformedTask() != want {
+					t.Fatalf("q=%d round %d machine %d: NextTask=%d but Step performed %d", q, round, i, want, r.PerformedTask())
+				}
+				if r.Broadcast != nil {
+					sent = append(sent, sim.Delivery{MC: &sim.Multicast{From: i, SentAt: round, Payload: r.Broadcast}, At: round})
+				}
+			}
+			if live == 0 {
+				break
+			}
+			if round%3 == 0 {
+				mail = mail[:0]
+			}
+			mail = append(mail, sent...)
+		}
+		for i, mach := range ms {
+			if !mach.(*DA).Halted() {
+				t.Fatalf("q=%d: machine %d did not halt in 1000 rounds", q, i)
+			}
+		}
+	}
+}
+
 func TestNextTaskMatchesStepPA(t *testing.T) {
 	ms := NewPaRan2(1, 10, 3)
 	m := ms[0].(*PA)

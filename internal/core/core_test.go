@@ -8,13 +8,13 @@ func TestNewJobsShapes(t *testing.T) {
 	cases := []struct {
 		p, t, n, g int
 	}{
-		{4, 4, 4, 1},   // p == t: unit jobs
-		{8, 4, 4, 1},   // p > t: t unit jobs
-		{4, 8, 4, 2},   // p < t: p jobs of 2
-		{4, 10, 4, 3},  // ⌈10/4⌉ = 3 → 4 jobs (3,3,3,1)
-		{3, 7, 3, 3},   // jobs (3,3,1)
-		{5, 7, 4, 2},   // g=⌈7/5⌉=2 → only 4 non-empty jobs
-		{1, 5, 1, 5},   // single processor: one job with everything
+		{4, 4, 4, 1},  // p == t: unit jobs
+		{8, 4, 4, 1},  // p > t: t unit jobs
+		{4, 8, 4, 2},  // p < t: p jobs of 2
+		{4, 10, 4, 3}, // ⌈10/4⌉ = 3 → 4 jobs (3,3,3,1)
+		{3, 7, 3, 3},  // jobs (3,3,1)
+		{5, 7, 4, 2},  // g=⌈7/5⌉=2 → only 4 non-empty jobs
+		{1, 5, 1, 5},  // single processor: one job with everything
 	}
 	for _, c := range cases {
 		j := NewJobs(c.p, c.t)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"doall/internal/bitset"
 	"doall/internal/perm"
@@ -23,8 +22,8 @@ import (
 // The replica's node bits are an epoch-versioned set: a broadcast is an
 // immutable base-plus-delta-chain snapshot (O(changed words), not
 // O(nodes)), received snapshots merge through a per-sender version
-// cursor, and the interior-closure invariant is restored by upward
-// propagation from the newly merged bits instead of an O(nodes)
+// cursor, and the interior-closure invariant is restored a word of
+// parents at a time from the newly merged bits instead of by an O(nodes)
 // recompute — per-delivery cost proportional to the new knowledge.
 //
 // Work is O(t·p^ε + p·min{t,d}·⌈t/d⌉^ε) for a suitable constant q and a
@@ -196,7 +195,7 @@ func (m *DA) advance() sim.StepResult {
 
 // merge applies received tree snapshots to the local replica: only the
 // chain suffix the sender's version cursor says is new, with closure
-// restored by propagating upward from the merged bits.
+// restored from the merged bits (propagateChanges).
 func (m *DA) merge(inbox []sim.Delivery) {
 	for _, msg := range inbox {
 		snap, ok := msg.Payload().(TreeSnapshot)
@@ -284,22 +283,13 @@ func (m *DA) mergeBatchEager(b *sim.Batch) {
 	}
 }
 
-// propagateChanges restores the interior-closure invariant for every bit
-// newly set by the last merge (recorded in scratch as word deltas of new
-// bits). Propagating from each new node is equivalent to the bottom-up
-// recompute — an interior node's children can only become all-done when
-// at least one of them is among the new bits — at new-knowledge cost.
-func (m *DA) propagateChanges() {
-	for _, dw := range m.scratch {
-		base := int(dw.Index) << 6
-		w := dw.Word
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			m.tree.PropagateUp(base + b)
-		}
-	}
-}
+// propagateChanges restores the interior-closure invariant after the last
+// merge, whose newly set bits scratch holds as word deltas. Tree.Close
+// visits only the parent words of those bits — an interior node's children
+// can only become all-done when one of them is new — and closes a word of
+// parents at a time, so the result equals the bottom-up recompute at
+// new-knowledge cost.
+func (m *DA) propagateChanges() { m.tree.Close(m.scratch) }
 
 // snapshot captures the progress tree for a broadcast: an O(changed
 // words) versioned snapshot sharing the epoch base.
@@ -322,37 +312,22 @@ func (m *DA) KnowsAllDone() bool { return m.tree.AllDone() }
 
 // NextTask implements sim.TaskIntender: the task the next Step would
 // perform, ignoring yet-undelivered messages, or -1 if the next step is
-// pure traversal. It mirrors Step's control flow read-only.
+// pure traversal. It mirrors Step's control flow read-only, walking the
+// stack in place: done frames are popped for free, a leaf on top performs
+// its next task, and any other interior frame makes the next step descend
+// into a child or close the node — neither performs a task.
 func (m *DA) NextTask() int {
-	depth := len(m.stack)
 	unit := m.unit
-	// Walk a virtual stack: copy indices only.
-	type vf struct{ node, depth, next int }
-	vs := make([]vf, depth)
-	for i, f := range m.stack {
-		vs[i] = vf{f.node, f.depth, f.next}
-	}
-	for len(vs) > 0 {
-		f := &vs[len(vs)-1]
-		if m.tree.Done(f.node) {
-			vs = vs[:len(vs)-1]
+	for i := len(m.stack) - 1; i >= 0; i-- {
+		n := m.stack[i].node
+		if m.tree.Done(n) {
 			unit = 0
 			continue
 		}
-		if m.tree.IsLeaf(f.node) {
-			job := m.tree.LeafIndex(f.node)
-			return m.jobs.Start(job) + unit
+		if m.tree.IsLeaf(n) {
+			return m.jobs.Start(m.tree.LeafIndex(n)) + unit
 		}
-		if f.next < m.q {
-			ord := m.perms[m.digits[f.depth]]
-			child := m.tree.Child(f.node, ord[f.next])
-			f.next++
-			if !m.tree.Done(child) {
-				return -1 // next step descends, performing nothing
-			}
-			continue
-		}
-		return -1 // next step closes an interior node
+		return -1
 	}
 	return -1
 }

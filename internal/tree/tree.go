@@ -9,10 +9,18 @@
 // Updates are monotone (0→1 only), so merging two replicas is a
 // commutative, idempotent OR — exactly the property the paper uses to
 // replace shared memory with multicast (Section 5.1.2).
+//
+// After a merge the closure rule — an interior node is done iff all its
+// children are — is restored by Close, a word kernel: it computes a word
+// of 64 parents at a time from the words holding their children, visiting
+// only the parent words of new bits. A single marked leaf (MarkLeaf) still
+// walks upward one node at a time; the bottom-up recompute behind Merge,
+// MergeSet and MergeBits is O(size).
 package tree
 
 import (
 	"fmt"
+	"math/bits"
 
 	"doall/internal/bitset"
 )
@@ -29,6 +37,12 @@ type Tree struct {
 	// every mutation routes through it so its dirty-word tracking sees the
 	// change, and DA's TreeSnapshot payloads are its versioned snapshots.
 	vers *bitset.Versioned
+	// work and cand are Close's scratch, allocated once per tree, empty
+	// between calls and never shared with a clone. Bit j of work is set
+	// while word j of done holds parents left to close; for q ≠ 2, cand[j]
+	// holds those parents (the q = 2 kernel computes whole words instead).
+	work []uint64
+	cand []uint64
 }
 
 // setBit marks node n, through the versioned set when attached.
@@ -55,7 +69,19 @@ func New(q, height int) *Tree {
 	}
 	// size = (q^{h+1} - 1)/(q - 1)
 	size := (leaves*q - 1) / (q - 1)
-	return &Tree{q: q, height: height, leaves: leaves, size: size, done: bitset.New(size)}
+	t := &Tree{q: q, height: height, leaves: leaves, size: size, done: bitset.New(size)}
+	t.allocScratch()
+	return t
+}
+
+// allocScratch gives the tree its own empty Close scratch.
+func (t *Tree) allocScratch() {
+	nw := (t.size + 63) / 64
+	t.work = make([]uint64, (nw+63)/64)
+	t.cand = nil
+	if t.q != 2 {
+		t.cand = make([]uint64, nw)
+	}
 }
 
 // NewVersioned creates a progress tree whose node bits are an
@@ -186,8 +212,9 @@ func (t *Tree) MarkLeaf(i int) {
 
 // propagate walks from node n to the root, marking each node whose
 // children are all done, stopping early when a node stays unset. Each
-// level costs one masked word-window test over the q child bits —
-// O(1 + q/64) word operations — so a closure walk is O(height·(1 + q/64)).
+// level costs a division for the parent index and one masked word-window
+// test over the q child bits — O(1 + q/64) word operations — so a walk is
+// O(height·(1 + q/64)). It serves MarkLeaf only; merged bits go to Close.
 func (t *Tree) propagate(n int) {
 	for n >= 0 {
 		if t.done.Get(n) || !t.childrenDone(n) {
@@ -202,13 +229,126 @@ func (t *Tree) propagate(n int) {
 // contiguous bits q·n+1 … q·n+q — are done.
 func (t *Tree) childrenDone(n int) bool { return t.done.AllSet(t.q*n+1, t.q) }
 
-// PropagateUp restores the interior-closure invariant upward from node n
-// after n was externally marked (a merged snapshot bit): each ancestor
-// whose children are now all done is marked, stopping at the first that
-// is not. Cost is propagate's O(height·(1 + q/64)) worst case but stops
-// early, so applying a delta costs new-knowledge work, unlike the full
-// recompute's pass over every interior node.
-func (t *Tree) PropagateUp(n int) { t.propagate(t.Parent(n)) }
+// Close restores the closure rule after the bits in deltas were ORed into
+// the tree: each entry is a word index and that word's newly set bits, as
+// bitset's collecting merges report them. Only the parent words of new
+// bits are visited, from the highest word down, so every child word is
+// final before its parents' word is computed; word 0 holds its own
+// parents (nodes 1–63 of a binary tree have parents 0–31) and is revisited
+// until it stops changing. For q = 2 a parent word is computed whole from
+// its three child words with a few shifts and masks. For other q only the
+// parents of new bits are tested, each with one child-window test. Each
+// changed word is ORed in, and stamped dirty, once per visit. The result
+// is the unique closure, so the bits set, and the words dirtied, do not
+// depend on the visiting order.
+func (t *Tree) Close(deltas []bitset.DeltaWord) {
+	top := -1
+	for _, d := range deltas {
+		t.queueParents(int(d.Index), d.Word)
+		top = max(top, int(d.Index))
+	}
+	// A parent's word never exceeds its child's, so top bounds the queue.
+	for i := top >> 6; i >= 0; i-- {
+		for t.work[i] != 0 {
+			b := 63 - bits.LeadingZeros64(t.work[i])
+			t.work[i] &^= 1 << uint(b)
+			j := i<<6 | b
+			if neu := t.closeWord(j); neu != 0 {
+				t.queueParents(j, neu)
+			}
+		}
+	}
+}
+
+// queueParents queues the words holding the parents of nb, the newly set
+// bits of word k.
+func (t *Tree) queueParents(k int, nb uint64) {
+	if k == 0 {
+		nb &^= 1 // the root has no parent
+	}
+	if nb == 0 {
+		return
+	}
+	if t.q == 2 {
+		// Node 64k+b has parent 32k+(b−1)/2, in word k/2 — except bit 0 of
+		// an even word, whose parent 32k−1 ends word k/2−1.
+		if k&1 == 1 || nb&^1 != 0 {
+			t.queue(k >> 1)
+		}
+		if k&1 == 0 && nb&1 != 0 {
+			t.queue(k>>1 - 1)
+		}
+		return
+	}
+	end := 0 // one past the last child of the parent marked last
+	for nb != 0 {
+		n := k<<6 + bits.TrailingZeros64(nb)
+		nb &= nb - 1
+		if n < end {
+			continue
+		}
+		p := (n - 1) / t.q
+		end = t.q*p + t.q + 1
+		t.cand[p>>6] |= 1 << (uint(p) & 63)
+		t.queue(p >> 6)
+	}
+}
+
+// queue adds word j to Close's worklist.
+func (t *Tree) queue(j int) { t.work[j>>6] |= 1 << (uint(j) & 63) }
+
+// closeWord marks every queued parent in word j whose children are all
+// done and returns the newly set bits.
+func (t *Tree) closeWord(j int) uint64 {
+	w := t.done.Words()
+	var closed uint64
+	if t.q == 2 {
+		closed = closedPairs(w, j)
+	} else {
+		c := t.cand[j] &^ w[j]
+		t.cand[j] = 0
+		for c != 0 {
+			b := bits.TrailingZeros64(c)
+			c &= c - 1
+			if t.childrenDone(j<<6 | b) {
+				closed |= 1 << uint(b)
+			}
+		}
+	}
+	if t.vers != nil {
+		return t.vers.OrWord(j, closed)
+	}
+	return t.done.OrWord(j, closed)
+}
+
+// closedPairs returns word j of a binary tree's parents as they should be
+// closed: bit i is set iff both children of node 64j+i — nodes 128j+2i+1
+// and 128j+2i+2 — are done. Those children are bits 1–63 of word 2j, all
+// of word 2j+1 and bit 0 of word 2j+2; words past the end read as zero,
+// and so do the children of leaves, so only interior nodes can be set.
+func closedPairs(w []uint64, j int) uint64 {
+	var c1, c2 uint64
+	c0 := w[2*j]
+	if 2*j+1 < len(w) {
+		c1 = w[2*j+1]
+	}
+	if 2*j+2 < len(w) {
+		c2 = w[2*j+2]
+	}
+	lo := c0>>1 | c1<<63 // bit k: node 128j+1+k
+	hi := c1>>1 | c2<<63 // bit k: node 128j+65+k
+	return evenBits(lo&(lo>>1)) | evenBits(hi&(hi>>1))<<32
+}
+
+// evenBits packs bits 0, 2, …, 62 of x into bits 0–31.
+func evenBits(x uint64) uint64 {
+	x &= 0x5555555555555555
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0x00000000ffffffff
+}
 
 // Merge ORs the other tree's bits into t and then restores the invariant
 // that every interior node whose children are all done is itself done.
@@ -304,7 +444,8 @@ func (t *Tree) RejoinPadded(tasks int) {
 }
 
 // Clone returns a deep copy of the tree (including the versioned view,
-// when attached; the clone's snapshot pools start empty).
+// when attached; the clone's snapshot pools start empty) with its own
+// Close scratch.
 func (t *Tree) Clone() *Tree {
 	c := *t
 	if t.vers != nil {
@@ -313,6 +454,7 @@ func (t *Tree) Clone() *Tree {
 	} else {
 		c.done = t.done.Clone()
 	}
+	c.allocScratch()
 	return &c
 }
 

@@ -307,36 +307,173 @@ func TestVersionedTreeMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestPropagateUpEqualsRecompute checks the delta-merge closure path:
-// marking an arbitrary node then propagating upward must match a full
-// bottom-up recompute on a copy.
-func TestPropagateUpEqualsRecompute(t *testing.T) {
-	tr := New(2, 3)
-	// Mark all leaves under the root's left child, leaf nodes directly
-	// (as a merged snapshot would), then propagate from each.
-	ref := tr.Clone()
-	for i := 0; i < 4; i++ {
-		n := tr.LeafNode(i)
-		tr.Mark(n)
-		tr.PropagateUp(n)
-		ref.Mark(n)
-	}
-	ref.MergeSet(bitset.New(ref.Size())) // force a recompute pass
-	for n := 0; n < tr.Size(); n++ {
-		if tr.Done(n) != ref.Done(n) {
-			t.Fatalf("node %d: propagate=%v recompute=%v", n, tr.Done(n), ref.Done(n))
+// mergeDelta ORs raw into tr the way DA merges a snapshot — collecting
+// each word's newly set bits — and closes from those deltas.
+func mergeDelta(tr *Tree, raw *bitset.Set) {
+	var deltas []bitset.DeltaWord
+	if tr.vers != nil {
+		_, deltas = tr.vers.UnionWithCollect(raw, nil)
+	} else {
+		for i, w := range raw.Words() {
+			if neu := tr.done.OrWord(i, w); neu != 0 {
+				deltas = append(deltas, bitset.DeltaWord{Index: int32(i), Word: neu})
+			}
 		}
 	}
-	if tr.Done(tr.Root()) {
-		t.Fatal("root closed with only half the leaves done")
+	tr.Close(deltas)
+}
+
+// nodesSet is a raw bit set of tr's shape with the given nodes set.
+func nodesSet(tr *Tree, nodes ...int) *bitset.Set {
+	raw := bitset.New(tr.Size())
+	for _, n := range nodes {
+		raw.Set(n)
 	}
-	if !tr.Done(tr.Child(tr.Root(), 0)) {
-		t.Fatal("left subtree not closed by propagation")
+	return raw
+}
+
+// scratchEmpty reports whether Close left its worklist and candidates
+// clear, as every call must.
+func scratchEmpty(tr *Tree) bool {
+	for _, w := range tr.work {
+		if w != 0 {
+			return false
+		}
+	}
+	for _, w := range tr.cand {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCloseEqualsRecompute merges random delta words — leaves, whole
+// closed subtrees as a peer would send them, and bare interior bits — and
+// requires Close to reach the same node bits as the bottom-up per-child
+// recompute after every merge. The shapes put the node array on 1 to 68
+// words, so parents sit in word 0, in the word below their children and
+// across word boundaries.
+func TestCloseEqualsRecompute(t *testing.T) {
+	shapes := []struct{ q, h int }{
+		{2, 0}, {2, 1}, {2, 5}, {2, 6}, {2, 7}, {2, 8}, {2, 10},
+		{3, 3}, {3, 4}, {3, 5}, {3, 6},
+		{4, 2}, {4, 3}, {4, 4}, {4, 5},
+		{7, 2}, {7, 3},
+		{64, 1}, {64, 2},
+		{65, 1}, {65, 2},
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, sh := range shapes {
+		for trial := 0; trial < 6; trial++ {
+			var tr *Tree
+			if trial%2 == 0 {
+				tr = New(sh.q, sh.h)
+			} else {
+				tr = NewVersioned(sh.q, sh.h)
+			}
+			ref := &refTree{q: sh.q, size: tr.Size(), firstLeaf: tr.Size() - tr.Leaves(), done: make([]bool, tr.Size())}
+			for round := 0; !ref.done[0] && round < 200; round++ {
+				raw := bitset.New(tr.Size())
+				set := func(n int) {
+					raw.Set(n)
+					ref.done[n] = true
+				}
+				for k := r.Intn(1 + tr.Leaves()/4); k >= 0; k-- {
+					set(tr.LeafNode(r.Intn(tr.Leaves())))
+				}
+				if ref.firstLeaf > 0 && r.Intn(3) == 0 {
+					// A closed subtree: an interior node and all below it.
+					stack := []int{r.Intn(ref.firstLeaf)}
+					for len(stack) > 0 {
+						n := stack[len(stack)-1]
+						stack = stack[:len(stack)-1]
+						set(n)
+						for c := 0; c < sh.q && !tr.IsLeaf(n); c++ {
+							stack = append(stack, tr.Child(n, c))
+						}
+					}
+				}
+				if ref.firstLeaf > 0 && r.Intn(8) == 0 {
+					set(r.Intn(ref.firstLeaf))
+				}
+				mergeDelta(tr, raw)
+				ref.recompute()
+				if !ref.equal(tr) {
+					t.Fatalf("q=%d h=%d trial %d round %d: Close diverged from the recompute", sh.q, sh.h, trial, round)
+				}
+				if !scratchEmpty(tr) {
+					t.Fatalf("q=%d h=%d trial %d round %d: Close left its scratch dirty", sh.q, sh.h, trial, round)
+				}
+			}
+		}
 	}
 }
 
-// refTree is the closure reference: node bits as a []bool and the
-// per-child loop the word-window kernel replaced.
+// TestCloseRevisitsWordZero closes a binary tree whose nodes all sit in
+// word 0, where every parent shares its children's word: one merge of all
+// leaves must close every level up to the root.
+func TestCloseRevisitsWordZero(t *testing.T) {
+	tr := NewVersioned(2, 5) // 63 nodes
+	var leaves []int
+	for i := 0; i < tr.Leaves(); i++ {
+		leaves = append(leaves, tr.LeafNode(i))
+	}
+	mergeDelta(tr, nodesSet(tr, leaves...))
+	if !tr.AllDone() || tr.CheckInvariant() != -1 {
+		t.Fatalf("root closed=%v, invariant broken at %d", tr.AllDone(), tr.CheckInvariant())
+	}
+}
+
+// TestCloseEvenWordBitZero closes through bit 0 of an even word k, whose
+// parent ends word k/2−1: leaf 512 (word 8, bit 0) completes node 255
+// (word 3, bit 63) once its sibling 511 is done.
+func TestCloseEvenWordBitZero(t *testing.T) {
+	for _, k := range []int{8, 10, 14} {
+		tr := New(2, 9) // 1023 nodes in words 0–15; leaves from 511
+		n := 64 * k
+		mergeDelta(tr, nodesSet(tr, n-1))
+		if tr.Done(tr.Parent(n)) {
+			t.Fatalf("k=%d: parent %d closed with one child done", k, tr.Parent(n))
+		}
+		mergeDelta(tr, nodesSet(tr, n))
+		if !tr.Done(tr.Parent(n)) {
+			t.Fatalf("k=%d: bit 0 of word %d did not close parent %d", k, k, tr.Parent(n))
+		}
+		if inv := tr.CheckInvariant(); inv != -1 {
+			t.Fatalf("k=%d: invariant broken at %d", k, inv)
+		}
+	}
+}
+
+// TestCloseOnCloneLeavesOriginal closes a clone while the original must
+// keep its bits and its own, untouched Close scratch — the property
+// stage-det relies on when it steps cloned machines.
+func TestCloseOnCloneLeavesOriginal(t *testing.T) {
+	for _, q := range []int{2, 3} {
+		tr, _ := NewForTasksVersioned(q, 200)
+		mergeDelta(tr, nodesSet(tr, tr.LeafNode(0), tr.LeafNode(5)))
+		before := tr.SnapshotSet()
+		c := tr.Clone()
+		if &c.work[0] == &tr.work[0] || (tr.cand != nil && &c.cand[0] == &tr.cand[0]) {
+			t.Fatalf("q=%d: clone shares the original's Close scratch", q)
+		}
+		var leaves []int
+		for i := 0; i < c.Leaves(); i++ {
+			leaves = append(leaves, c.LeafNode(i))
+		}
+		mergeDelta(c, nodesSet(c, leaves...))
+		if !c.AllDone() {
+			t.Fatalf("q=%d: clone did not close its root", q)
+		}
+		if !tr.SnapshotSet().Equal(before) || !scratchEmpty(tr) {
+			t.Fatalf("q=%d: closing the clone changed the original", q)
+		}
+	}
+}
+
+// refTree is the closure reference: node bits as a []bool, the per-child
+// loop the word-window test replaced, and the bottom-up recompute.
 type refTree struct {
 	q, size, firstLeaf int
 	done               []bool
@@ -382,14 +519,14 @@ func (r *refTree) equal(t *Tree) bool {
 	return true
 }
 
-// TestClosureMatchesPerChildLoop drives the word-window closure kernel and
-// the per-child reference loop through the same leaf marks, delta-style
-// node marks with PropagateUp, and raw-bit merges, and requires identical
-// node bits after every operation. Arities 64 and 65 make a node's child
-// window span one and two words; 2, 3 and 7 keep it inside one.
+// TestClosureMatchesPerChildLoop drives the tree's closure and the
+// per-child reference loop through the same leaf marks, merged single node
+// bits closed by Close, and raw-bit merges, and requires identical node
+// bits after every operation. Arities 64 and 65 make a node's child
+// window span one and two words; 2, 3, 4 and 7 keep it inside one.
 func TestClosureMatchesPerChildLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, q := range []int{2, 3, 7, 64, 65} {
+	for _, q := range []int{2, 3, 4, 7, 64, 65} {
 		h := 3
 		if q >= 64 {
 			h = 2
@@ -397,13 +534,12 @@ func TestClosureMatchesPerChildLoop(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			tr := NewVersioned(q, h)
 			ref := &refTree{q: q, size: tr.Size(), firstLeaf: tr.Size() - tr.Leaves(), done: make([]bool, tr.Size())}
-			// Mark leaves in random order; occasionally mark an interior
-			// node directly (a merged snapshot bit) and propagate from it.
+			// Mark leaves in random order; occasionally merge an interior
+			// node's bit alone (a merged snapshot bit) and close from it.
 			for _, i := range r.Perm(tr.Leaves()) {
 				if r.Intn(8) == 0 {
 					n := r.Intn(ref.firstLeaf)
-					tr.Mark(n)
-					tr.PropagateUp(n)
+					mergeDelta(tr, nodesSet(tr, n))
 					ref.done[n] = true
 					ref.propagate(ref.parent(n))
 				} else {
