@@ -78,7 +78,6 @@ func New(q, height int) *Tree {
 func (t *Tree) allocScratch() {
 	nw := (t.size + 63) / 64
 	t.work = make([]uint64, (nw+63)/64)
-	t.cand = nil
 	if t.q != 2 {
 		t.cand = make([]uint64, nw)
 	}
@@ -280,18 +279,28 @@ func (t *Tree) queueParents(k int, nb uint64) {
 		}
 		return
 	}
-	end := 0 // one past the last child of the parent marked last
-	for nb != 0 {
+	// Divide once per word: later parents are found by stepping over
+	// whole sibling groups of q nodes.
+	p := (k<<6 + bits.TrailingZeros64(nb) - 1) / t.q
+	end := t.q*p + t.q + 1 // one past p's last child
+	t.candidate(p)
+	for nb &= nb - 1; nb != 0; nb &= nb - 1 {
 		n := k<<6 + bits.TrailingZeros64(nb)
-		nb &= nb - 1
 		if n < end {
-			continue
+			continue // a sibling of the last new bit
 		}
-		p := (n - 1) / t.q
-		end = t.q*p + t.q + 1
-		t.cand[p>>6] |= 1 << (uint(p) & 63)
-		t.queue(p >> 6)
+		for end <= n {
+			p++
+			end += t.q
+		}
+		t.candidate(p)
 	}
+}
+
+// candidate queues parent p for closeWord's child test (q ≠ 2).
+func (t *Tree) candidate(p int) {
+	t.cand[p>>6] |= 1 << (uint(p) & 63)
+	t.queue(p >> 6)
 }
 
 // queue adds word j to Close's worklist.
