@@ -17,7 +17,7 @@ import (
 
 	"doall"
 	"doall/internal/adversary"
-	"doall/internal/harness"
+	"doall/internal/scenario"
 	"doall/internal/sim"
 )
 
@@ -104,7 +104,7 @@ func TestZeroSteadyStateAllocsPADelay1(t *testing.T) {
 // p=64 under the fair adversary runs allocation-free once warmed up.
 func TestZeroSteadyStateAllocsDA(t *testing.T) {
 	const p, tasks = 64, 256
-	ms, err := harness.BuildMachines(harness.Spec{Algo: harness.AlgoDA, P: p, T: tasks, D: 4, Seed: 42})
+	ms, err := scenario.Scenario{Algorithm: scenario.AlgoDA, P: p, T: tasks, D: 4, Seed: 42}.Machines()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +117,14 @@ func TestZeroSteadyStateAllocsDA(t *testing.T) {
 // trial.
 func TestResetReplaysExactly(t *testing.T) {
 	const p, tasks = 16, 64
-	for _, algo := range []harness.Algo{harness.AlgoAllToAll, harness.AlgoObliDo, harness.AlgoDA, harness.AlgoPaRan1, harness.AlgoPaRan2, harness.AlgoPaDet} {
-		spec := harness.Spec{Algo: algo, P: p, T: tasks, D: 3, Seed: 5}
-		fresh, err := harness.Execute(spec)
+	for _, algo := range []string{scenario.AlgoAllToAll, scenario.AlgoObliDo, scenario.AlgoDA, scenario.AlgoPaRan1, scenario.AlgoPaRan2, scenario.AlgoPaDet} {
+		sc := scenario.Scenario{Algorithm: algo, P: p, T: tasks, D: 3, Seed: 5}
+		out, err := scenario.Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		ms, err := harness.BuildMachines(spec)
+		fresh := out.Sim
+		ms, err := sc.Machines()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestZeroSteadyStateAllocsSharded1024(t *testing.T) {
 // in steady state.
 func TestZeroSteadyStateAllocsDA1024(t *testing.T) {
 	const p, tasks = 1024, 4096
-	ms, err := harness.BuildMachines(harness.Spec{Algo: harness.AlgoDA, P: p, T: tasks, D: 4, Seed: 42})
+	ms, err := scenario.Scenario{Algorithm: scenario.AlgoDA, P: p, T: tasks, D: 4, Seed: 42}.Machines()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Benchmarks regenerating every experiment in the E1–E10 index
-// (AllExperiments in internal/harness/experiments.go).
+// (AllExperiments in internal/scenario/experiments.go).
 // Each benchmark runs its experiment's workload and reports the measured
 // work (and where meaningful, messages) as custom metrics, so
 // `go test -bench=. -benchmem` reproduces the paper's evaluation shape:
@@ -26,22 +26,22 @@ import (
 	"doall/internal/bitset"
 	"doall/internal/bounds"
 	"doall/internal/core"
-	"doall/internal/harness"
 	"doall/internal/perm"
+	"doall/internal/scenario"
 	"doall/internal/sim"
 )
 
-// benchSpec runs one harness spec b.N times, reporting work and messages.
-func benchSpec(b *testing.B, spec harness.Spec) {
+// benchScenario runs one scenario b.N times, reporting work and messages.
+func benchScenario(b *testing.B, sc scenario.Scenario) {
 	b.Helper()
 	var work, msgs int64
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Execute(spec)
+		res, err := scenario.Run(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		work = res.Work
-		msgs = res.Messages
+		work = res.Sim.Work
+		msgs = res.Sim.Messages
 	}
 	b.ReportMetric(float64(work), "work")
 	b.ReportMetric(float64(msgs), "messages")
@@ -53,7 +53,7 @@ func BenchmarkE1LowerBoundDet(b *testing.B) {
 	const p, t, d = 8, 512, 8
 	var work int64
 	for i := 0; i < b.N; i++ {
-		ms, err := harness.BuildMachines(harness.Spec{Algo: harness.AlgoDA, P: p, T: t, D: d, Seed: 1})
+		ms, err := scenario.Scenario{Algorithm: scenario.AlgoDA, P: p, T: t, D: d, Seed: 1}.Machines()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,57 +124,57 @@ func BenchmarkE4DContention(b *testing.B) {
 // E5: DA(q) work vs delay (Theorem 5.5) at a representative point of the
 // sweep; the full sweep is cmd/experiments -only E5.
 func BenchmarkE5DAWork(b *testing.B) {
-	benchSpec(b, harness.Spec{Algo: harness.AlgoDA, P: 8, T: 256, Q: 2, D: 4, Seed: 5})
+	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoDA, P: 8, T: 256, Q: 2, D: 4, Seed: 5})
 }
 
 // E5 ablation: arity q = 4 at the same point.
 func BenchmarkE5DAWorkQ4(b *testing.B) {
-	benchSpec(b, harness.Spec{Algo: harness.AlgoDA, P: 8, T: 256, Q: 4, D: 4, Seed: 5})
+	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoDA, P: 8, T: 256, Q: 4, D: 4, Seed: 5})
 }
 
 // E6: PaRan1 work vs delay (Theorem 6.2/Corollary 6.4).
 func BenchmarkE6PaRanWork(b *testing.B) {
-	benchSpec(b, harness.Spec{Algo: harness.AlgoPaRan1, P: 8, T: 256, D: 4, Seed: 6})
+	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoPaRan1, P: 8, T: 256, D: 4, Seed: 6})
 }
 
 // E6 variant: PaRan2 (same expected work, fewer random bits).
 func BenchmarkE6PaRan2Work(b *testing.B) {
-	benchSpec(b, harness.Spec{Algo: harness.AlgoPaRan2, P: 8, T: 256, D: 4, Seed: 6})
+	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoPaRan2, P: 8, T: 256, D: 4, Seed: 6})
 }
 
 // E7: PaDet work with a searched low-d-contention list (Theorem 6.3).
 func BenchmarkE7PaDetWork(b *testing.B) {
-	benchSpec(b, harness.Spec{Algo: harness.AlgoPaDet, P: 8, T: 256, D: 4, Seed: 7})
+	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoPaDet, P: 8, T: 256, D: 4, Seed: 7})
 }
 
 // E8: the quadratic wall at d = Ω(t) (Proposition 2.2).
 func BenchmarkE8LargeDelay(b *testing.B) {
-	benchSpec(b, harness.Spec{Algo: harness.AlgoDA, P: 8, T: 128, D: 256, Seed: 8})
+	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoDA, P: 8, T: 128, D: 256, Seed: 8})
 }
 
 // E8 baseline: the oblivious algorithm at the same point.
 func BenchmarkE8Oblivious(b *testing.B) {
-	benchSpec(b, harness.Spec{Algo: harness.AlgoAllToAll, P: 8, T: 128, D: 256, Seed: 8})
+	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoAllToAll, P: 8, T: 128, D: 256, Seed: 8})
 }
 
 // E9: message complexity (Theorem 5.6: M = O(p·W)).
 func BenchmarkE9Messages(b *testing.B) {
-	benchSpec(b, harness.Spec{Algo: harness.AlgoDA, P: 8, T: 256, Q: 2, D: 4, Seed: 9})
+	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoDA, P: 8, T: 256, Q: 2, D: 4, Seed: 9})
 }
 
 // E10: DA vs PaDet crossover point (Section 1.2 discussion).
 func BenchmarkE10Crossover(b *testing.B) {
 	var wDA, wPA int64
 	for i := 0; i < b.N; i++ {
-		da, err := harness.Execute(harness.Spec{Algo: harness.AlgoDA, P: 8, T: 512, D: 8, Seed: 10})
+		da, err := scenario.Run(scenario.Scenario{Algorithm: scenario.AlgoDA, P: 8, T: 512, D: 8, Seed: 10})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pa, err := harness.Execute(harness.Spec{Algo: harness.AlgoPaDet, P: 8, T: 512, D: 8, Seed: 10})
+		pa, err := scenario.Run(scenario.Scenario{Algorithm: scenario.AlgoPaDet, P: 8, T: 512, D: 8, Seed: 10})
 		if err != nil {
 			b.Fatal(err)
 		}
-		wDA, wPA = da.Work, pa.Work
+		wDA, wPA = da.Sim.Work, pa.Sim.Work
 	}
 	b.ReportMetric(float64(wDA), "work-DA")
 	b.ReportMetric(float64(wPA), "work-PaDet")
@@ -200,7 +200,7 @@ func BenchmarkSimulatorSteps(b *testing.B) {
 // allocation drop per multicast.
 func benchEngine(b *testing.B, engine func(sim.Config, []sim.Machine, sim.Adversary) (*sim.Result, error), p, t int, d int64) {
 	b.Helper()
-	pristine, err := harness.BuildMachines(harness.Spec{Algo: harness.AlgoPaRan1, P: p, T: t, D: d, Seed: 42})
+	pristine, err := scenario.Scenario{Algorithm: scenario.AlgoPaRan1, P: p, T: t, D: d, Seed: 42}.Machines()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func BenchmarkEngineLegacyPA64(b *testing.B)    { benchEngine(b, sim.RunLegacy, 
 // contracts exist for (gated by TestZeroSteadyStateAllocs*).
 func BenchmarkEngineSteadyStatePA256(b *testing.B) {
 	const p, t, d = 256, 1024, 8
-	ms, err := harness.BuildMachines(harness.Spec{Algo: harness.AlgoPaRan1, P: p, T: t, D: d, Seed: 42})
+	ms, err := scenario.Scenario{Algorithm: scenario.AlgoPaRan1, P: p, T: t, D: d, Seed: 42}.Machines()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func BenchmarkEngineMulticastPA256Observer(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ms, err := harness.BuildMachines(harness.Spec{Algo: harness.AlgoPaRan1, P: p, T: t, D: d, Seed: 42})
+		ms, err := scenario.Scenario{Algorithm: scenario.AlgoPaRan1, P: p, T: t, D: d, Seed: 42}.Machines()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,15 +318,15 @@ func BenchmarkScenarioRun(b *testing.B) {
 // BenchmarkSweepRunner exercises the sharded (p, t, d, algo) sweep used
 // for the BENCH_*.json baselines on a small grid.
 func BenchmarkSweepRunner(b *testing.B) {
-	cfg := harness.SweepConfig{
-		Algos:    []harness.Algo{harness.AlgoPaRan1, harness.AlgoDA},
+	cfg := scenario.SweepConfig{
+		Algos:    []string{scenario.AlgoPaRan1, scenario.AlgoDA},
 		Ps:       []int{8, 16},
 		Ts:       []int{64},
 		Ds:       []int64{1, 4},
 		BaseSeed: 1,
 	}
 	for i := 0; i < b.N; i++ {
-		cells := harness.RunSweep(cfg)
+		cells := scenario.RunSweep(cfg)
 		for _, c := range cells {
 			if c.Err != "" {
 				b.Fatalf("cell %+v failed: %s", c, c.Err)

@@ -1,5 +1,5 @@
 // Command experiments regenerates every experiment in the E1–E10 index
-// (AllExperiments in internal/harness/experiments.go) and prints the
+// (AllExperiments in internal/scenario/experiments.go) and prints the
 // result tables, optionally as Markdown.
 //
 // Usage:

@@ -1,4 +1,4 @@
-package harness
+package scenario
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 // Machines and adversaries are rebuilt from identical seeds for each
 // engine so both executions start from identical state.
 func TestEngineEquivalence(t *testing.T) {
-	algos := []Algo{AlgoAllToAll, AlgoObliDo, AlgoDA, AlgoPaRan1, AlgoPaRan2, AlgoPaDet}
+	algos := []string{AlgoAllToAll, AlgoObliDo, AlgoDA, AlgoPaRan1, AlgoPaRan2, AlgoPaDet}
 	sizes := []struct{ p, t int }{{2, 8}, {5, 16}, {16, 64}}
 	advs := []string{"fair", "random", "crash-fair", "crash-random", "slow-all", "crash-slow-all", "crash-stage-det", "stage-det", "stage-online",
 		"restart-fair", "restart-random", "restart-slow-all", "omit-fair", "omit-random", "omit-subset-fair", "restart-omit-fair"}
@@ -25,11 +25,11 @@ func TestEngineEquivalence(t *testing.T) {
 		for _, size := range sizes {
 			for _, d := range []int64{1, 3} {
 				for _, advName := range advs {
-					spec := Spec{Algo: algo, P: size.p, T: size.t, D: d, Seed: 17}
+					sc := Scenario{Algorithm: algo, P: size.p, T: size.t, D: d, Seed: 17}
 					name := fmt.Sprintf("%s/p%d-t%d-d%d/%s", algo, size.p, size.t, d, advName)
 					t.Run(name, func(t *testing.T) {
-						legacy, errL := runEquivCase(spec, advName, sim.RunLegacy)
-						fresh, errN := runEquivCase(spec, advName, sim.Run)
+						legacy, errL := runEquivCase(sc, advName, sim.RunLegacy)
+						fresh, errN := runEquivCase(sc, advName, sim.Run)
 						if (errL == nil) != (errN == nil) {
 							t.Fatalf("error mismatch: legacy=%v new=%v", errL, errN)
 						}
@@ -43,10 +43,10 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// runEquivCase builds fresh machines and a fresh adversary for the spec
-// and executes them with the given engine.
-func runEquivCase(s Spec, advName string, engine func(sim.Config, []sim.Machine, sim.Adversary) (*sim.Result, error)) (*sim.Result, error) {
-	ms, err := BuildMachines(s)
+// runEquivCase builds fresh machines and a fresh adversary for the
+// scenario and executes them with the given engine.
+func runEquivCase(s Scenario, advName string, engine func(sim.Config, []sim.Machine, sim.Adversary) (*sim.Result, error)) (*sim.Result, error) {
+	ms, err := s.Machines()
 	if err != nil {
 		return nil, fmt.Errorf("build machines: %w", err)
 	}
@@ -57,7 +57,7 @@ func runEquivCase(s Spec, advName string, engine func(sim.Config, []sim.Machine,
 	return engine(sim.Config{P: s.P, T: s.T}, ms, adv)
 }
 
-func buildEquivAdversary(s Spec, advName string) (sim.Adversary, error) {
+func buildEquivAdversary(s Scenario, advName string) (sim.Adversary, error) {
 	crashes := []adversary.CrashEvent{{Pid: 0, At: 1}, {Pid: s.P - 1, At: 3}}
 	switch advName {
 	case "fair":
@@ -125,7 +125,7 @@ func buildEquivAdversary(s Spec, advName string) (sim.Adversary, error) {
 // restartsFor schedules crash-restart faults that exercise both the
 // downtime and the rebased re-entry: the first and last processors go
 // down early and revive mid-run.
-func restartsFor(s Spec) []adversary.RestartEvent {
+func restartsFor(s Scenario) []adversary.RestartEvent {
 	return []adversary.RestartEvent{
 		{Pid: 0, CrashAt: 1, ReviveAt: 1 + 3*s.D},
 		{Pid: s.P - 1, CrashAt: 3, ReviveAt: 3 + 5*s.D},
@@ -134,7 +134,7 @@ func restartsFor(s Spec) []adversary.RestartEvent {
 
 // omitsFor schedules omission windows covering the early broadcasts of
 // two senders (every send in the window loses its copies).
-func omitsFor(s Spec) []adversary.OmitWindow {
+func omitsFor(s Scenario) []adversary.OmitWindow {
 	return []adversary.OmitWindow{
 		{Pid: 0, From: 0, Until: 4 * s.D},
 		{Pid: s.P / 2, From: s.D, Until: 6 * s.D},
@@ -146,22 +146,22 @@ func omitsFor(s Spec) []adversary.OmitWindow {
 // a delay that depends on the recipient id defeats the uniform-delay
 // single-event fast path.
 func TestEngineEquivalenceNonUniformDelays(t *testing.T) {
-	for _, algo := range []Algo{AlgoDA, AlgoPaRan1, AlgoPaDet} {
-		spec := Spec{Algo: algo, P: 8, T: 32, D: 5, Seed: 23}
+	for _, algo := range []string{AlgoDA, AlgoPaRan1, AlgoPaDet} {
+		sc := Scenario{Algorithm: algo, P: 8, T: 32, D: 5, Seed: 23}
 		build := func() ([]sim.Machine, sim.Adversary, error) {
-			ms, err := BuildMachines(spec)
-			return ms, &recipientSkewAdv{d: spec.D}, err
+			ms, err := sc.Machines()
+			return ms, &recipientSkewAdv{d: sc.D}, err
 		}
 		msL, advL, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, errL := sim.RunLegacy(sim.Config{P: spec.P, T: spec.T}, msL, advL)
+		legacy, errL := sim.RunLegacy(sim.Config{P: sc.P, T: sc.T}, msL, advL)
 		msN, advN, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, errN := sim.Run(sim.Config{P: spec.P, T: spec.T}, msN, advN)
+		fresh, errN := sim.Run(sim.Config{P: sc.P, T: sc.T}, msN, advN)
 		if (errL == nil) != (errN == nil) {
 			t.Fatalf("%s: error mismatch: legacy=%v new=%v", algo, errL, errN)
 		}

@@ -115,9 +115,10 @@ const (
 )
 
 // The paper's six algorithms. Seed usage is load-bearing: these builders
-// reproduce the historical harness.Spec construction bit for bit (one
+// reproduce the pre-registry construction switch bit for bit (one
 // rand.Source from sc.Seed feeding schedule search), so Scenario runs are
-// byte-identical to the legacy path (asserted by tests).
+// byte-identical to the legacy path (asserted by
+// TestScenarioMatchesLegacyPath against legacyBuildMachines).
 func init() {
 	RegisterAlgorithm(AlgoAllToAll, func(sc Scenario) ([]Machine, error) {
 		return core.NewAllToAll(sc.P, sc.T), nil
@@ -170,7 +171,7 @@ func init() {
 
 	// random: per-unit activity probability, uniform delays in [1, d].
 	// The default seed derivation (sc.Seed ^ 0x5eed) matches the
-	// historical harness so legacy specs replay exactly.
+	// pre-registry construction so recorded runs replay exactly.
 	RegisterAdversary(AdvRandom, func(ctx *AdversaryContext) (Adversary, error) {
 		if err := ctx.maxInners(0); err != nil {
 			return nil, err

@@ -7,8 +7,11 @@
 // and RegisterAdversary instead of forking switch statements.
 //
 // The package is re-exported through the module root (doall.Scenario,
-// doall.RunScenario, ...); internal callers (harness, sweeps) build on it
-// directly.
+// doall.RunScenario, ...). It also holds the sharded sweep runner
+// (sweep.go) and the paper's evaluation: every experiment in the E1–E10
+// index (AllExperiments, experiments.go) builds its runs from Scenarios
+// and returns a Table pairing measured work/messages with the paper's
+// closed-form bounds.
 package scenario
 
 import (

@@ -15,9 +15,9 @@ import (
 	"doall/internal/sim"
 )
 
-// legacyBuildMachines is a verbatim copy of the pre-registry harness
-// switch. The registry builders must reproduce it bit for bit: same seed
-// stream, same schedule search, same machines.
+// legacyBuildMachines is a verbatim copy of the construction switch that
+// predates the algorithm registry. The registry builders must reproduce
+// it bit for bit: same seed stream, same schedule search, same machines.
 func legacyBuildMachines(sc Scenario) ([]sim.Machine, error) {
 	sc = sc.WithDefaults()
 	r := rand.New(rand.NewSource(sc.Seed))

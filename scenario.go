@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"doall/internal/bounds"
-	"doall/internal/harness"
 	"doall/internal/scenario"
 	"doall/internal/sim"
 )
@@ -116,19 +115,19 @@ type (
 // schema.
 type (
 	// SweepConfig declares the grid.
-	SweepConfig = harness.SweepConfig
+	SweepConfig = scenario.SweepConfig
 	// SweepCell is one measured grid point.
-	SweepCell = harness.Cell
+	SweepCell = scenario.Cell
 	// SweepReport is the JSON envelope of a sweep.
-	SweepReport = harness.SweepReport
+	SweepReport = scenario.SweepReport
 )
 
 // RunSweep measures every cell of the grid; results are deterministic for
 // any worker count.
-func RunSweep(c SweepConfig) []SweepCell { return harness.RunSweep(c) }
+func RunSweep(c SweepConfig) []SweepCell { return scenario.RunSweep(c) }
 
 // NewSweepReport runs the sweep and wraps it for serialization.
-func NewSweepReport(c SweepConfig) SweepReport { return harness.NewSweepReport(c) }
+func NewSweepReport(c SweepConfig) SweepReport { return scenario.NewSweepReport(c) }
 
 // RunSweepContext is RunSweep with cancellation: when ctx is canceled
 // (deadline, SIGINT), in-flight cells stop at their next trial boundary,
@@ -171,20 +170,20 @@ func TheoryBounds(p, t, d int, eps float64) (lower, daUpper, paUpper float64) {
 // Experiment tables: the paper's evaluation (E1–E10) as formatted tables.
 type (
 	// ExperimentTable is one experiment's result table.
-	ExperimentTable = harness.Table
+	ExperimentTable = scenario.Table
 	// ExperimentScale selects experiment sizes.
-	ExperimentScale = harness.Scale
+	ExperimentScale = scenario.Scale
 )
 
 // Experiment scales.
 const (
 	// QuickScale keeps each experiment under ~1s.
-	QuickScale = harness.Quick
+	QuickScale = scenario.Quick
 	// FullScale uses the full experiment sizes (cmd/experiments -scale full).
-	FullScale = harness.Full
+	FullScale = scenario.Full
 )
 
 // AllExperiments runs every experiment at the given scale, in index order.
 func AllExperiments(sc ExperimentScale) ([]*ExperimentTable, error) {
-	return harness.AllExperiments(sc)
+	return scenario.AllExperiments(sc)
 }
