@@ -221,6 +221,9 @@ func (sc Scenario) Validate() error {
 	if sc.Shards < ShardsAuto {
 		return fmt.Errorf("scenario: shards=%d out of range (want ≥ -1; -1 = auto)", sc.Shards)
 	}
+	if sc.Trials < 0 {
+		return fmt.Errorf("scenario: trials=%d out of range (want ≥ 0; 0 = default 1)", sc.Trials)
+	}
 	return nil
 }
 
@@ -388,7 +391,11 @@ type Avg struct {
 
 // RunAvg runs the scenario sc.Trials times on a simulator backend with
 // seeds Seed, Seed+1, … and averages work, messages, and completion time.
+// The scenario must pass Validate (so a negative Trials is an error).
 func RunAvg(sc Scenario) (Avg, error) {
+	if err := sc.Validate(); err != nil {
+		return Avg{}, err
+	}
 	sc = sc.WithDefaults()
 	if sc.Backend == BackendRuntime {
 		return Avg{}, fmt.Errorf("scenario: RunAvg needs a simulator backend, got %q", sc.Backend)

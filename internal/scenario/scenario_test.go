@@ -311,6 +311,28 @@ func TestRunAvgMatchesManualAverage(t *testing.T) {
 	}
 }
 
+// TestRunAvgRejectsNegativeTrials: a negative trial count used to average
+// zero runs into -0 results with no error. Validate rejects it, so a
+// parsed scenario document carrying it fails too, and RunAvg returns the
+// same error.
+func TestRunAvgRejectsNegativeTrials(t *testing.T) {
+	sc, err := Parse([]byte(`{"algorithm":"DA","p":4,"t":16,"d":2,"trials":-3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verr := sc.Validate()
+	if verr == nil || !strings.Contains(verr.Error(), "trials=-3") {
+		t.Fatalf("Validate accepted trials=-3: %v", verr)
+	}
+	avg, err := RunAvg(sc)
+	if err == nil || err.Error() != verr.Error() {
+		t.Fatalf("RunAvg(trials=-3) = %+v, %v; want error %q", avg, err, verr)
+	}
+	if err := (Scenario{Algorithm: AlgoDA, P: 4, T: 16, D: 2}).Validate(); err != nil {
+		t.Fatalf("default trials rejected: %v", err)
+	}
+}
+
 func TestScenarioObserverThreaded(t *testing.T) {
 	var solved bool
 	_, err := RunWith(Scenario{Algorithm: AlgoPaRan2, P: 4, T: 16, D: 2, Seed: 1},
