@@ -96,23 +96,7 @@ func NewVersioned(q, height int) *Tree {
 }
 
 // NewForTasksVersioned is NewForTasks over a versioned tree.
-func NewForTasksVersioned(q, tasks int) (*Tree, int) {
-	if tasks < 1 {
-		panic("tree: need at least one task")
-	}
-	h := 0
-	leaves := 1
-	for leaves < tasks {
-		leaves *= q
-		h++
-	}
-	tr := NewVersioned(q, h)
-	pad := leaves - tasks
-	for i := tasks; i < leaves; i++ {
-		tr.MarkLeaf(i)
-	}
-	return tr, pad
-}
+func NewForTasksVersioned(q, tasks int) (*Tree, int) { return newForTasks(q, tasks, NewVersioned) }
 
 // Versioned returns the tree's epoch-versioned bit set, or nil for a
 // plain tree.
@@ -122,22 +106,30 @@ func (t *Tree) Versioned() *bitset.Versioned { return t.vers }
 // smallest power of q ≥ t), plus the number of padded "dummy" leaves that
 // carry no real task. Dummy leaves are pre-marked done, implementing the
 // paper's padding technique (Section 5.1) without charging work for them.
-func NewForTasks(q, t int) (*Tree, int) {
-	if t < 1 {
+func NewForTasks(q, t int) (*Tree, int) { return newForTasks(q, t, New) }
+
+// newForTasks builds, with build (New or NewVersioned), the shortest tree
+// of arity q with at least tasks leaves and marks its padding.
+func newForTasks(q, tasks int, build func(q, height int) *Tree) (*Tree, int) {
+	if tasks < 1 {
 		panic("tree: need at least one task")
 	}
 	h := 0
-	leaves := 1
-	for leaves < t {
-		leaves *= q
+	for leaves := 1; leaves < tasks; leaves *= q {
 		h++
 	}
-	tr := New(q, h)
-	pad := leaves - t
-	for i := t; i < leaves; i++ {
-		tr.MarkLeaf(i)
+	tr := build(q, h)
+	return tr, tr.markPadding(tasks)
+}
+
+// markPadding marks the padding leaves tasks … Leaves()-1 done, one
+// MarkLeaf at a time in leaf order (the order a versioned tree's dirty
+// stamps record), and returns how many there are.
+func (t *Tree) markPadding(tasks int) int {
+	for i := tasks; i < t.leaves; i++ {
+		t.MarkLeaf(i)
 	}
-	return tr, pad
+	return t.leaves - tasks
 }
 
 // Arity returns q.
@@ -430,9 +422,7 @@ func (t *Tree) ResetPadded(tasks int) {
 	} else {
 		t.done.ClearAll()
 	}
-	for i := tasks; i < t.leaves; i++ {
-		t.MarkLeaf(i)
-	}
+	t.markPadding(tasks)
 }
 
 // RejoinPadded restores the tree to its initial state for a crash-restart
@@ -447,9 +437,7 @@ func (t *Tree) RejoinPadded(tasks int) {
 	} else {
 		t.done.ClearAll()
 	}
-	for i := tasks; i < t.leaves; i++ {
-		t.MarkLeaf(i)
-	}
+	t.markPadding(tasks)
 }
 
 // Clone returns a deep copy of the tree (including the versioned view,
