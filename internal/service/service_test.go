@@ -309,6 +309,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Scenario: &scenario.Scenario{Algorithm: "DA", P: 4, T: 16, Backend: scenario.BackendRuntime}},
 		{Sweep: &scenario.SweepSpec{Algos: []string{"DA"}}}, // empty axes
 		{Scenario: &scenario.Scenario{Algorithm: "DA", P: 4, T: 16}, Timeout: Duration(-time.Second)},
+		{Scenario: &scenario.Scenario{Algorithm: "DA", P: 4, T: 16, Trials: -3}},
 	}
 	for i, job := range cases {
 		if _, err := s.Submit(job); err == nil {
