@@ -199,6 +199,9 @@ func TestUnknownNamesError(t *testing.T) {
 	if err := (Scenario{Algorithm: AlgoPaRan1, Adversary: "crashing(crash=1@-2)", P: 4, T: 8}).Validate(); err == nil {
 		t.Fatal("negative crash time accepted")
 	}
+	if err := (Scenario{Algorithm: AlgoPaRan1, P: 4, T: 8, Trials: -3}).Validate(); err == nil || !strings.Contains(err.Error(), "trials=-3") {
+		t.Fatalf("negative trials accepted: %v", err)
+	}
 }
 
 // TestSlowSetDefaultInnerKeepsFastForward pins the builder choice: a
@@ -324,27 +327,10 @@ func TestRunAvgMatchesManualAverage(t *testing.T) {
 	if _, err := RunAvg(Scenario{Algorithm: AlgoAllToAll, Backend: BackendRuntime, P: 2, T: 4, D: 1}); err == nil {
 		t.Fatal("RunAvg on runtime backend accepted")
 	}
-}
-
-// TestRunAvgRejectsNegativeTrials: a negative trial count used to average
-// zero runs into -0 results with no error. Validate rejects it, so a
-// parsed scenario document carrying it fails too, and RunAvg returns the
-// same error.
-func TestRunAvgRejectsNegativeTrials(t *testing.T) {
-	sc, err := Parse([]byte(`{"algorithm":"DA","p":4,"t":16,"d":2,"trials":-3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	verr := sc.Validate()
-	if verr == nil || !strings.Contains(verr.Error(), "trials=-3") {
-		t.Fatalf("Validate accepted trials=-3: %v", verr)
-	}
-	avg, err := RunAvg(sc)
-	if err == nil || err.Error() != verr.Error() {
-		t.Fatalf("RunAvg(trials=-3) = %+v, %v; want error %q", avg, err, verr)
-	}
-	if err := (Scenario{Algorithm: AlgoDA, P: 4, T: 16, D: 2}).Validate(); err != nil {
-		t.Fatalf("default trials rejected: %v", err)
+	// A negative trial count used to average zero runs into -0 with no
+	// error.
+	if avg, err := RunAvg(Scenario{Algorithm: AlgoDA, P: 4, T: 16, D: 2, Trials: -3}); err == nil || !strings.Contains(err.Error(), "trials=-3") {
+		t.Fatalf("RunAvg(trials=-3) = %+v, %v; want the Validate error", avg, err)
 	}
 }
 
