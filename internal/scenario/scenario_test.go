@@ -327,8 +327,7 @@ func TestRunAvgMatchesManualAverage(t *testing.T) {
 	if _, err := RunAvg(Scenario{Algorithm: AlgoAllToAll, Backend: BackendRuntime, P: 2, T: 4, D: 1}); err == nil {
 		t.Fatal("RunAvg on runtime backend accepted")
 	}
-	// A negative trial count used to average zero runs into -0 with no
-	// error.
+	// A negative trial count is rejected, not averaged over zero runs.
 	if avg, err := RunAvg(Scenario{Algorithm: AlgoDA, P: 4, T: 16, D: 2, Trials: -3}); err == nil || !strings.Contains(err.Error(), "trials=-3") {
 		t.Fatalf("RunAvg(trials=-3) = %+v, %v; want the Validate error", avg, err)
 	}
