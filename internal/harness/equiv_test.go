@@ -1,4 +1,4 @@
-package scenario
+package harness
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"doall/internal/adversary"
+	"doall/internal/scenario"
 	"doall/internal/sim"
 )
 
@@ -16,7 +17,7 @@ import (
 // Machines and adversaries are rebuilt from identical seeds for each
 // engine so both executions start from identical state.
 func TestEngineEquivalence(t *testing.T) {
-	algos := []string{AlgoAllToAll, AlgoObliDo, AlgoDA, AlgoPaRan1, AlgoPaRan2, AlgoPaDet}
+	algos := []string{scenario.AlgoAllToAll, scenario.AlgoObliDo, scenario.AlgoDA, scenario.AlgoPaRan1, scenario.AlgoPaRan2, scenario.AlgoPaDet}
 	sizes := []struct{ p, t int }{{2, 8}, {5, 16}, {16, 64}}
 	advs := []string{"fair", "random", "crash-fair", "crash-random", "slow-all", "crash-slow-all", "crash-stage-det", "stage-det", "stage-online",
 		"restart-fair", "restart-random", "restart-slow-all", "omit-fair", "omit-random", "omit-subset-fair", "restart-omit-fair"}
@@ -25,7 +26,7 @@ func TestEngineEquivalence(t *testing.T) {
 		for _, size := range sizes {
 			for _, d := range []int64{1, 3} {
 				for _, advName := range advs {
-					sc := Scenario{Algorithm: algo, P: size.p, T: size.t, D: d, Seed: 17}
+					sc := scenario.Scenario{Algorithm: algo, P: size.p, T: size.t, D: d, Seed: 17}
 					name := fmt.Sprintf("%s/p%d-t%d-d%d/%s", algo, size.p, size.t, d, advName)
 					t.Run(name, func(t *testing.T) {
 						legacy, errL := runEquivCase(sc, advName, sim.RunLegacy)
@@ -45,7 +46,7 @@ func TestEngineEquivalence(t *testing.T) {
 
 // runEquivCase builds fresh machines and a fresh adversary for the
 // scenario and executes them with the given engine.
-func runEquivCase(s Scenario, advName string, engine func(sim.Config, []sim.Machine, sim.Adversary) (*sim.Result, error)) (*sim.Result, error) {
+func runEquivCase(s scenario.Scenario, advName string, engine func(sim.Config, []sim.Machine, sim.Adversary) (*sim.Result, error)) (*sim.Result, error) {
 	ms, err := s.Machines()
 	if err != nil {
 		return nil, fmt.Errorf("build machines: %w", err)
@@ -57,7 +58,7 @@ func runEquivCase(s Scenario, advName string, engine func(sim.Config, []sim.Mach
 	return engine(sim.Config{P: s.P, T: s.T}, ms, adv)
 }
 
-func buildEquivAdversary(s Scenario, advName string) (sim.Adversary, error) {
+func buildEquivAdversary(s scenario.Scenario, advName string) (sim.Adversary, error) {
 	crashes := []adversary.CrashEvent{{Pid: 0, At: 1}, {Pid: s.P - 1, At: 3}}
 	switch advName {
 	case "fair":
@@ -125,7 +126,7 @@ func buildEquivAdversary(s Scenario, advName string) (sim.Adversary, error) {
 // restartsFor schedules crash-restart faults that exercise both the
 // downtime and the rebased re-entry: the first and last processors go
 // down early and revive mid-run.
-func restartsFor(s Scenario) []adversary.RestartEvent {
+func restartsFor(s scenario.Scenario) []adversary.RestartEvent {
 	return []adversary.RestartEvent{
 		{Pid: 0, CrashAt: 1, ReviveAt: 1 + 3*s.D},
 		{Pid: s.P - 1, CrashAt: 3, ReviveAt: 3 + 5*s.D},
@@ -134,7 +135,7 @@ func restartsFor(s Scenario) []adversary.RestartEvent {
 
 // omitsFor schedules omission windows covering the early broadcasts of
 // two senders (every send in the window loses its copies).
-func omitsFor(s Scenario) []adversary.OmitWindow {
+func omitsFor(s scenario.Scenario) []adversary.OmitWindow {
 	return []adversary.OmitWindow{
 		{Pid: 0, From: 0, Until: 4 * s.D},
 		{Pid: s.P / 2, From: s.D, Until: 6 * s.D},
@@ -146,8 +147,8 @@ func omitsFor(s Scenario) []adversary.OmitWindow {
 // a delay that depends on the recipient id defeats the uniform-delay
 // single-event fast path.
 func TestEngineEquivalenceNonUniformDelays(t *testing.T) {
-	for _, algo := range []string{AlgoDA, AlgoPaRan1, AlgoPaDet} {
-		sc := Scenario{Algorithm: algo, P: 8, T: 32, D: 5, Seed: 23}
+	for _, algo := range []string{scenario.AlgoDA, scenario.AlgoPaRan1, scenario.AlgoPaDet} {
+		sc := scenario.Scenario{Algorithm: algo, P: 8, T: 32, D: 5, Seed: 23}
 		build := func() ([]sim.Machine, sim.Adversary, error) {
 			ms, err := sc.Machines()
 			return ms, &recipientSkewAdv{d: sc.D}, err

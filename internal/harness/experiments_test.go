@@ -1,15 +1,17 @@
-package scenario
+package harness
 
 import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"doall/internal/scenario"
 )
 
 // runQuick runs an experiment at Quick scale and does basic shape checks.
-func runQuick(t *testing.T, fn func(Scale) (*Table, error)) *Table {
+func runQuick(t *testing.T, fn func(scenario.Scale) (*scenario.Table, error)) *scenario.Table {
 	t.Helper()
-	tb, err := fn(Quick)
+	tb, err := fn(scenario.Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func cellFloat(t *testing.T, cell string) float64 {
 }
 
 func TestE1Shape(t *testing.T) {
-	tb := runQuick(t, E1LowerBoundDet)
+	tb := runQuick(t, scenario.E1LowerBoundDet)
 	// Forced work / Ω must be bounded: not vanishing, not exploding.
 	for _, row := range tb.Rows {
 		ratio := cellFloat(t, row[4])
@@ -45,7 +47,7 @@ func TestE1Shape(t *testing.T) {
 }
 
 func TestE2Shape(t *testing.T) {
-	tb := runQuick(t, E2LowerBoundRand)
+	tb := runQuick(t, scenario.E2LowerBoundRand)
 	for _, row := range tb.Rows {
 		ratio := cellFloat(t, row[4])
 		if ratio < 0.05 || ratio > 50 {
@@ -55,7 +57,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3LemmaHolds(t *testing.T) {
-	tb := runQuick(t, E3Contention)
+	tb := runQuick(t, scenario.E3Contention)
 	for _, row := range tb.Rows {
 		cont := cellFloat(t, row[1])
 		bound := cellFloat(t, row[2])
@@ -70,7 +72,7 @@ func TestE3LemmaHolds(t *testing.T) {
 }
 
 func TestE4BoundHolds(t *testing.T) {
-	tb := runQuick(t, E4DContention)
+	tb := runQuick(t, scenario.E4DContention)
 	for _, row := range tb.Rows {
 		if r := cellFloat(t, row[3]); r > 1 {
 			t.Errorf("E4 d=%s: estimate exceeds the Theorem 4.4 bound (ratio %v)", row[0], r)
@@ -79,7 +81,7 @@ func TestE4BoundHolds(t *testing.T) {
 }
 
 func TestE5WorkGrowsWithD(t *testing.T) {
-	tb := runQuick(t, E5DAWork)
+	tb := runQuick(t, scenario.E5DAWork)
 	// Within each q group, work must not shrink drastically as d grows,
 	// and must stay ≤ ~p·t ceiling times small constant.
 	for _, row := range tb.Rows {
@@ -107,7 +109,7 @@ func TestE5WorkGrowsWithD(t *testing.T) {
 }
 
 func TestE6SubquadraticAtSmallD(t *testing.T) {
-	tb := runQuick(t, E6PaRanWork)
+	tb := runQuick(t, scenario.E6PaRanWork)
 	for _, row := range tb.Rows {
 		d := cellFloat(t, row[0])
 		w := cellFloat(t, row[2])
@@ -119,7 +121,7 @@ func TestE6SubquadraticAtSmallD(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	tb := runQuick(t, E7PaDetWork)
+	tb := runQuick(t, scenario.E7PaDetWork)
 	for _, row := range tb.Rows {
 		if r := cellFloat(t, row[4]); r > 20 {
 			t.Errorf("E7 d=%s: W/UB = %v implausibly high", row[0], r)
@@ -128,7 +130,7 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8QuadraticAtLargeD(t *testing.T) {
-	tb := runQuick(t, E8LargeDelay)
+	tb := runQuick(t, scenario.E8LargeDelay)
 	for _, row := range tb.Rows {
 		frac := cellFloat(t, row[4])
 		if frac < 0.4 || frac > 3 {
@@ -138,7 +140,7 @@ func TestE8QuadraticAtLargeD(t *testing.T) {
 }
 
 func TestE9MessageCeiling(t *testing.T) {
-	tb := runQuick(t, E9Messages)
+	tb := runQuick(t, scenario.E9Messages)
 	for _, row := range tb.Rows {
 		ratio := cellFloat(t, row[3])
 		ceiling := cellFloat(t, row[4])
@@ -149,7 +151,7 @@ func TestE9MessageCeiling(t *testing.T) {
 }
 
 func TestE10HasWinners(t *testing.T) {
-	tb := runQuick(t, E10Crossover)
+	tb := runQuick(t, scenario.E10Crossover)
 	for _, row := range tb.Rows {
 		w := row[5]
 		if w != "DA" && w != "PaDet" && w != "PaRan1" {
@@ -162,7 +164,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	tables, err := AllExperiments(Quick)
+	tables, err := scenario.AllExperiments(scenario.Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

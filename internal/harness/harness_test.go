@@ -1,13 +1,22 @@
+// Package harness holds the end-to-end tests that drive internal/scenario
+// from outside: the E1–E10 experiment tables, the engine-equivalence grid
+// (sim.Run against sim.RunLegacy), the sweep runner and table rendering.
+// The directory contains tests only; the code they exercise lives in
+// internal/scenario.
 package harness
 
 import (
 	"strings"
 	"testing"
+
+	"doall/internal/scenario"
 )
 
+var allAlgos = []string{scenario.AlgoAllToAll, scenario.AlgoObliDo, scenario.AlgoDA, scenario.AlgoPaRan1, scenario.AlgoPaRan2, scenario.AlgoPaDet}
+
 func TestBuildMachinesAllAlgos(t *testing.T) {
-	for _, algo := range []Algo{AlgoAllToAll, AlgoObliDo, AlgoDA, AlgoPaRan1, AlgoPaRan2, AlgoPaDet} {
-		ms, err := BuildMachines(Spec{Algo: algo, P: 4, T: 8, D: 2, Seed: 1})
+	for _, algo := range allAlgos {
+		ms, err := scenario.Scenario{Algorithm: algo, P: 4, T: 8, D: 2, Seed: 1}.Machines()
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -15,14 +24,14 @@ func TestBuildMachinesAllAlgos(t *testing.T) {
 			t.Fatalf("%s: %d machines, want 4", algo, len(ms))
 		}
 	}
-	if _, err := BuildMachines(Spec{Algo: "nope", P: 1, T: 1}); err == nil {
+	if _, err := (scenario.Scenario{Algorithm: "nope", P: 1, T: 1}).Machines(); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
 
 func TestBuildAdversaryAll(t *testing.T) {
-	for _, a := range []Adv{AdvFair, AdvRandom, AdvStageDet, AdvStageOnline} {
-		adv, err := BuildAdversary(Spec{Adversary: a, P: 2, T: 4, D: 3})
+	for _, a := range []string{scenario.AdvFair, scenario.AdvRandom, scenario.AdvStageDet, scenario.AdvStageOnline} {
+		adv, err := scenario.Scenario{Adversary: a, P: 2, T: 4, D: 3}.BuildAdversary()
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
@@ -30,18 +39,18 @@ func TestBuildAdversaryAll(t *testing.T) {
 			t.Fatalf("%s: D = %d, want 3", a, adv.D())
 		}
 	}
-	if _, err := BuildAdversary(Spec{Adversary: "nope"}); err == nil {
+	if _, err := (scenario.Scenario{Adversary: "nope"}).BuildAdversary(); err == nil {
 		t.Fatal("unknown adversary accepted")
 	}
 }
 
 func TestExecuteEveryAlgoSolves(t *testing.T) {
-	for _, algo := range []Algo{AlgoAllToAll, AlgoObliDo, AlgoDA, AlgoPaRan1, AlgoPaRan2, AlgoPaDet} {
-		res, err := Execute(Spec{Algo: algo, P: 4, T: 16, D: 2, Seed: 2})
+	for _, algo := range allAlgos {
+		res, err := scenario.Run(scenario.Scenario{Algorithm: algo, P: 4, T: 16, D: 2, Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		if !res.Solved {
+		if !res.Solved() {
 			t.Fatalf("%s: not solved", algo)
 		}
 	}
@@ -50,7 +59,7 @@ func TestExecuteEveryAlgoSolves(t *testing.T) {
 func TestExecuteAvgDeterministicIsStable(t *testing.T) {
 	// Deterministic algo with fair adversary and trial-varying seeds: DA's
 	// permutation search depends on seed, so use AllToAll which is seed-free.
-	avg, err := ExecuteAvg(Spec{Algo: AlgoAllToAll, P: 3, T: 9, D: 1}, 3)
+	avg, err := scenario.RunAvg(scenario.Scenario{Algorithm: scenario.AlgoAllToAll, P: 3, T: 9, D: 1, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +72,7 @@ func TestExecuteAvgDeterministicIsStable(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	tb := NewTable("EX", "demo", "a", "bb")
+	tb := scenario.NewTable("EX", "demo", "a", "bb")
 	tb.AddRow(1, 2.5)
 	tb.AddRow("x", 100.0)
 	tb.Note = "hello"
@@ -83,6 +92,8 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTrimFloat checks the float formatting AddRow applies to every
+// float64 cell.
 func TestTrimFloat(t *testing.T) {
 	cases := map[float64]string{
 		3:       "3",
@@ -91,8 +102,10 @@ func TestTrimFloat(t *testing.T) {
 		0.25:    "0.25",
 	}
 	for in, want := range cases {
-		if got := trimFloat(in); got != want {
-			t.Errorf("trimFloat(%v) = %q, want %q", in, got, want)
+		tb := scenario.NewTable("EX", "demo", "v")
+		tb.AddRow(in)
+		if got := tb.Rows[0][0]; got != want {
+			t.Errorf("AddRow(%v) cell = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"doall/internal/scenario"
 )
 
-func sweepGrid() SweepConfig {
-	return SweepConfig{
-		Algos:    []Algo{AlgoAllToAll, AlgoDA, AlgoPaRan1},
+func sweepGrid() scenario.SweepConfig {
+	return scenario.SweepConfig{
+		Algos:    []string{scenario.AlgoAllToAll, scenario.AlgoDA, scenario.AlgoPaRan1},
 		Ps:       []int{4, 8},
 		Ts:       []int{16, 32},
 		Ds:       []int64{1, 4},
@@ -18,8 +20,8 @@ func sweepGrid() SweepConfig {
 	}
 }
 
-func stripTimings(cells []Cell) []Cell {
-	out := append([]Cell(nil), cells...)
+func stripTimings(cells []scenario.Cell) []scenario.Cell {
+	out := append([]scenario.Cell(nil), cells...)
 	for i := range out {
 		out[i].NsPerRun = 0
 	}
@@ -29,10 +31,10 @@ func stripTimings(cells []Cell) []Cell {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := sweepGrid()
 	cfg.Workers = 1
-	serial := stripTimings(RunSweep(cfg))
+	serial := stripTimings(scenario.RunSweep(cfg))
 	for _, workers := range []int{2, 7} {
 		cfg.Workers = workers
-		got := stripTimings(RunSweep(cfg))
+		got := stripTimings(scenario.RunSweep(cfg))
 		if len(got) != len(serial) {
 			t.Fatalf("workers=%d: %d cells, want %d", workers, len(got), len(serial))
 		}
@@ -46,7 +48,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestSweepCellsSolveAndCoverGrid(t *testing.T) {
 	cfg := sweepGrid()
-	cells := RunSweep(cfg)
+	cells := scenario.RunSweep(cfg)
 	want := len(cfg.Algos) * len(cfg.Ps) * len(cfg.Ts) * len(cfg.Ds)
 	if len(cells) != want {
 		t.Fatalf("sweep produced %d cells, want %d", len(cells), want)
@@ -62,8 +64,8 @@ func TestSweepCellsSolveAndCoverGrid(t *testing.T) {
 }
 
 func TestCellSeedDependsOnlyOnCoordinates(t *testing.T) {
-	a := CellSeed(1, AlgoDA, 8, 64, 4)
-	if a != CellSeed(1, AlgoDA, 8, 64, 4) {
+	a := scenario.CellSeed(1, scenario.AlgoDA, 8, 64, 4)
+	if a != scenario.CellSeed(1, scenario.AlgoDA, 8, 64, 4) {
 		t.Fatal("CellSeed not deterministic")
 	}
 	if a <= 0 {
@@ -71,11 +73,11 @@ func TestCellSeedDependsOnlyOnCoordinates(t *testing.T) {
 	}
 	distinct := map[int64]bool{a: true}
 	for _, other := range []int64{
-		CellSeed(2, AlgoDA, 8, 64, 4),
-		CellSeed(1, AlgoPaDet, 8, 64, 4),
-		CellSeed(1, AlgoDA, 16, 64, 4),
-		CellSeed(1, AlgoDA, 8, 128, 4),
-		CellSeed(1, AlgoDA, 8, 64, 8),
+		scenario.CellSeed(2, scenario.AlgoDA, 8, 64, 4),
+		scenario.CellSeed(1, scenario.AlgoPaDet, 8, 64, 4),
+		scenario.CellSeed(1, scenario.AlgoDA, 16, 64, 4),
+		scenario.CellSeed(1, scenario.AlgoDA, 8, 128, 4),
+		scenario.CellSeed(1, scenario.AlgoDA, 8, 64, 8),
 	} {
 		if distinct[other] {
 			t.Fatalf("seed collision: %d", other)
@@ -86,9 +88,9 @@ func TestCellSeedDependsOnlyOnCoordinates(t *testing.T) {
 
 func TestSweepReportJSONRoundTrip(t *testing.T) {
 	cfg := sweepGrid()
-	cfg.Algos = []Algo{AlgoAllToAll}
+	cfg.Algos = []string{scenario.AlgoAllToAll}
 	cfg.Ps, cfg.Ts, cfg.Ds = []int{4}, []int{8}, []int64{1}
-	rep := NewSweepReport(cfg)
+	rep := scenario.NewSweepReport(cfg)
 	if rep.Engine != "multicast-wheel-grouped" {
 		t.Fatalf("engine tag = %q", rep.Engine)
 	}
@@ -99,7 +101,7 @@ func TestSweepReportJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"algo": "AllToAll"`) {
 		t.Fatalf("JSON missing cell fields:\n%s", buf.String())
 	}
-	var back SweepReport
+	var back scenario.SweepReport
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}

@@ -156,21 +156,6 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-func TestBuildAdversaryAll(t *testing.T) {
-	for _, a := range []string{AdvFair, AdvRandom, AdvStageDet, AdvStageOnline} {
-		adv, err := Scenario{Adversary: a, P: 2, T: 4, D: 3}.BuildAdversary()
-		if err != nil {
-			t.Fatalf("%s: %v", a, err)
-		}
-		if adv.D() != 3 {
-			t.Fatalf("%s: D = %d, want 3", a, adv.D())
-		}
-	}
-	if _, err := (Scenario{Adversary: "nope"}).BuildAdversary(); err == nil {
-		t.Fatal("unknown adversary accepted")
-	}
-}
-
 func TestUnknownNamesError(t *testing.T) {
 	if _, err := (Scenario{Algorithm: "nope", P: 2, T: 2}).Machines(); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Fatalf("unknown algorithm: %v", err)
