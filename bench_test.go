@@ -122,7 +122,7 @@ func BenchmarkE4DContention(b *testing.B) {
 }
 
 // E5: DA(q) work vs delay (Theorem 5.5) at a representative point of the
-// sweep; the full sweep is cmd/experiments -only E5.
+// sweep; the full sweep is `doall experiments -only E5`.
 func BenchmarkE5DAWork(b *testing.B) {
 	benchScenario(b, scenario.Scenario{Algorithm: scenario.AlgoDA, P: 8, T: 256, Q: 2, D: 4, Seed: 5})
 }
@@ -248,10 +248,15 @@ func BenchmarkEngineSteadyStatePA256(b *testing.B) {
 	}
 	adv := adversary.NewFair(d)
 	eng := sim.NewEngine()
-	// One warm-up run grows every buffer and pool to its steady size, so
-	// the timed loop measures the true steady state.
-	if _, err := eng.Run(sim.Config{P: p, T: t}, ms, adv); err != nil {
-		b.Fatal(err)
+	// PaRan1's pools at this shape converge over the first few runs, so
+	// warm four reset runs, as the TestZeroSteadyStateAllocs gates do,
+	// before the timed loop measures the steady state.
+	set := sim.NewMachineSet(ms)
+	for w := 0; w < 4; w++ {
+		set.Reset()
+		if _, err := eng.Run(sim.Config{P: p, T: t}, ms, adv); err != nil {
+			b.Fatal(err)
+		}
 	}
 	var work int64
 	b.ReportAllocs()

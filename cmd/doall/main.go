@@ -1,180 +1,59 @@
-// Command doall runs one Do-All scenario — algorithm × adversary
-// expression × (p, t, d) — in the deterministic simulator and prints the
-// measured work, message, and time complexity next to the paper's bounds.
-// It is a thin front-end over the public Scenario API: algorithms and
-// adversaries resolve through the open registries, so -algo and
-// -adversary accept anything registered, including composed adversary
-// expressions.
+// Command doall is the front door of the Do-All simulator: one binary
+// whose subcommands cover single runs, the paper's experiment tables,
+// sweep grids, Section 4's schedule search, and the job daemon with its
+// client. Algorithms and adversaries resolve through the open registries,
+// so -algo and -adversary accept anything registered, including composed
+// adversary expressions.
 //
 // Usage:
 //
-//	doall -algo DA -p 16 -t 1024 -d 8 -q 2 -adversary fair
-//	doall -algo PaRan1 -p 8 -t 256 -d 4 -trials 10
-//	doall -algo PaRan2 -p 8 -t 256 -d 4 -adversary 'crashing(slow-set(fair),crash=0@5)'
-//	doall -spec '{"algorithm":"DA","p":16,"t":1024,"d":8}'
+//	doall [-cpuprofile file] [-memprofile file] <command> [flags]
+//
+// Commands:
+//
+//	run          one scenario vs the paper's bounds
+//	             doall run -algo DA -p 16 -t 1024 -d 8 -q 2 -adversary fair
+//	             doall run -algo PaRan1 -p 8 -t 256 -d 4 -trials 10
+//	             doall run -algo PaRan2 -p 8 -t 256 -d 4 -adversary 'crashing(slow-set(fair),crash=0@5)'
+//	             doall run -spec '{"algorithm":"DA","p":16,"t":1024,"d":8}'
+//	experiments  the E1–E10 tables (internal/scenario/experiments.go)
+//	             doall experiments [-scale full] [-markdown] [-only E5,E6]
+//	sweep        an (algorithm, adversary, p, t, d) grid as a BENCH_*.json report
+//	             doall sweep -algos PaRan1,DA -p 64,256 -t 1024 -d 1,8,64 -trials 3 -out BENCH_N.json
+//	             doall sweep -advs 'fair;crashing;slow-set(period=8)' -progress
+//	calibrate    fit the analytical twin from recorded sweep reports
+//	             doall calibrate [-out TWIN_FIT.json] [BENCH_0.json ...]
+//	contention   Section 4's schedule search and d-contention sweep
+//	             doall contention -n 6 -k 6 -restarts 500
+//	             doall contention -n 256 -k 16 -dsweep
+//	serve        the job daemon (HTTP JSON API, checkpoint log, metrics)
+//	             doall serve -listen 127.0.0.1:0 -checkpoint doalld.wal -workers 8 -maxmem 4g
+//	             doall serve -twin TWIN_FIT.json
+//	ctl          the daemon's client
+//	             doall ctl submit -f sweep.json -wait
+//	             doall ctl results j000001 -o cells.ndjson
+//	             doall ctl predict -algo DA -p 1024 -t 65536 -d 8
+//	version      the build version
+//
+// -advs takes a ';'-separated list because expressions such as
+// crashing(crash=0@3,crash=1@5) contain commas. The profiling flags wrap
+// whichever command runs:
+//
+//	doall -cpuprofile cpu.out -memprofile mem.out sweep
+//	go tool pprof cpu.out
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"io"
 	"os"
-	"strconv"
-	"strings"
 
-	"doall"
+	"doall/cmd/internal/cli"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := cli.Run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "doall:", err)
 		os.Exit(1)
 	}
-}
-
-// cliFlags holds the parsed command line; scenario() converts it to the
-// declarative spec.
-type cliFlags struct {
-	algo     string
-	p, t     int
-	d        int64
-	q        int
-	adv      string
-	seed     int64
-	trials   int
-	restarts int
-	shards   string
-	spec     string
-	version  bool
-}
-
-// parseFlags parses args into cliFlags without touching the global flag
-// set, so tests can drive it directly.
-func parseFlags(args []string) (cliFlags, error) {
-	var c cliFlags
-	fs := flag.NewFlagSet("doall", flag.ContinueOnError)
-	fs.StringVar(&c.algo, "algo", "DA", "algorithm: "+strings.Join(doall.RegisteredAlgorithms(), ", "))
-	fs.IntVar(&c.p, "p", 8, "number of processors")
-	fs.IntVar(&c.t, "t", 64, "number of tasks")
-	fs.Int64Var(&c.d, "d", 1, "message delay bound d")
-	fs.IntVar(&c.q, "q", 2, "progress-tree arity (DA only)")
-	fs.StringVar(&c.adv, "adversary", "fair", "adversary expression over: "+strings.Join(doall.RegisteredAdversaries(), ", "))
-	fs.Int64Var(&c.seed, "seed", 1, "random seed")
-	fs.IntVar(&c.trials, "trials", 1, "trials to average over (varies the seed)")
-	fs.IntVar(&c.restarts, "restarts", 32, "permutation-search restarts")
-	fs.StringVar(&c.shards, "shards", "1", "intra-run parallel shards: a count, or 'auto' (results are identical at any value)")
-	fs.StringVar(&c.spec, "spec", "", "JSON Scenario document (overrides the individual flags)")
-	fs.BoolVar(&c.version, "version", false, "print the build version and exit")
-	if err := fs.Parse(args); err != nil {
-		return cliFlags{}, err
-	}
-	return c, nil
-}
-
-// scenario builds the declarative spec from the flags: either the -spec
-// JSON document verbatim, or the individual flags assembled.
-func (c cliFlags) scenario() (doall.Scenario, error) {
-	if c.spec != "" {
-		return doall.ParseScenario([]byte(c.spec))
-	}
-	shards, err := parseShards(c.shards)
-	if err != nil {
-		return doall.Scenario{}, err
-	}
-	return doall.Scenario{
-		Algorithm:      c.algo,
-		Adversary:      c.adv,
-		P:              c.p,
-		T:              c.t,
-		Q:              c.q,
-		D:              c.d,
-		Seed:           c.seed,
-		Trials:         c.trials,
-		SearchRestarts: c.restarts,
-		Shards:         shards,
-	}, nil
-}
-
-// parseShards turns a -shards value — a shard count or the word "auto" —
-// into the Scenario.Shards encoding (auto = doall.ShardsAuto).
-func parseShards(s string) (int, error) {
-	if s == "" || s == "auto" {
-		if s == "auto" {
-			return doall.ShardsAuto, nil
-		}
-		return 1, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("-shards wants a count ≥ 1 or 'auto', got %q", s)
-	}
-	return n, nil
-}
-
-func run(args []string, w io.Writer) error {
-	c, err := parseFlags(args)
-	if err != nil {
-		return err
-	}
-	if c.version {
-		fmt.Fprintln(w, "doall", doall.Version())
-		return nil
-	}
-	sc, err := c.scenario()
-	if err != nil {
-		return err
-	}
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	sc = sc.WithDefaults()
-
-	if sc.Trials <= 1 {
-		res, err := doall.RunScenario(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "algorithm   %s  (p=%d t=%d d=%d adversary=%s)\n", sc.Algorithm, sc.P, sc.T, sc.D, sc.Adversary)
-		if res.Runtime != nil {
-			// A -spec document may select the goroutine runtime, which has
-			// no exact simulator Result to print.
-			rt := res.Runtime
-			fmt.Fprintf(w, "backend     runtime (wall-clock observations, not worst cases)\n")
-			fmt.Fprintf(w, "steps       %d\n", rt.Steps)
-			fmt.Fprintf(w, "messages    %d\n", rt.Messages)
-			fmt.Fprintf(w, "executions  %d\n", rt.TaskExecutions)
-			fmt.Fprintf(w, "elapsed     %s\n", rt.Elapsed)
-			printBounds(w, sc.P, sc.T, int(sc.D), float64(rt.Steps))
-			return nil
-		}
-		r := res.Sim
-		fmt.Fprintf(w, "work        %d\n", r.Work)
-		fmt.Fprintf(w, "messages    %d\n", r.Messages)
-		fmt.Fprintf(w, "time        %d\n", r.SolvedAt)
-		fmt.Fprintf(w, "executions  %d (primary %d, secondary %d)\n",
-			r.TaskExecutions, r.PrimaryExecutions, r.SecondaryExecutions)
-		printBounds(w, sc.P, sc.T, int(sc.D), float64(r.Work))
-		return nil
-	}
-
-	avg, err := doall.RunScenarioAvg(sc)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "algorithm   %s  (p=%d t=%d d=%d adversary=%s, %d trials)\n",
-		sc.Algorithm, sc.P, sc.T, sc.D, sc.Adversary, sc.Trials)
-	fmt.Fprintf(w, "E[work]     %.1f\n", avg.Work)
-	fmt.Fprintf(w, "E[messages] %.1f\n", avg.Messages)
-	fmt.Fprintf(w, "E[time]     %.1f\n", avg.Time)
-	printBounds(w, sc.P, sc.T, int(sc.D), avg.Work)
-	return nil
-}
-
-func printBounds(w io.Writer, p, t, d int, work float64) {
-	fmt.Fprintf(w, "---- theory (constants suppressed) ----\n")
-	fmt.Fprintf(w, "lower bound Ω   %.0f\n", doall.LowerBound(p, t, d))
-	fmt.Fprintf(w, "DA bound (ε=.5) %.0f\n", doall.DAUpperBound(p, t, d, 0.5))
-	fmt.Fprintf(w, "PA bound        %.0f\n", doall.PAUpperBound(p, t, d))
-	fmt.Fprintf(w, "oblivious p·t   %.0f\n", doall.ObliviousWork(p, t))
-	fmt.Fprintf(w, "work/oblivious  %.3f\n", work/doall.ObliviousWork(p, t))
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"doall"
+	"doall/cmd/internal/cli"
 )
 
 // newDaemon stands up a real in-process service behind httptest and
@@ -28,21 +30,16 @@ func newDaemon(t *testing.T, workers int) string {
 	return ts.URL
 }
 
+// run drives `doall ctl args...`.
+func run(ctx context.Context, args []string, w, errw io.Writer) error {
+	return cli.Run(ctx, append([]string{"ctl"}, args...), w, errw)
+}
+
 func ctl(t *testing.T, addr string, args ...string) (string, error) {
 	t.Helper()
 	var out strings.Builder
 	err := run(context.Background(), append([]string{"-addr", addr}, args...), &out, &strings.Builder{})
 	return out.String(), err
-}
-
-func TestVersionFlag(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-version"}, &out, &strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), doall.Version()) {
-		t.Fatalf("-version printed %q", out.String())
-	}
 }
 
 func TestUnknownCommand(t *testing.T) {

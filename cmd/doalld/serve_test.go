@@ -10,23 +10,19 @@ import (
 	"time"
 
 	"doall"
+	"doall/cmd/internal/cli"
 )
 
-func TestVersionFlag(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), nil, []string{"-version"}, &out, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out.String(), "doalld ") || !strings.Contains(out.String(), doall.Version()) {
-		t.Fatalf("-version printed %q", out.String())
-	}
+// run drives `doall serve args...` until ctx ends (the SIGTERM path).
+func run(ctx context.Context, args []string, w, errw io.Writer) error {
+	return cli.Run(ctx, append([]string{"serve"}, args...), w, errw)
 }
 
 func TestBadFlags(t *testing.T) {
-	if err := run(context.Background(), nil, []string{"-maxmem", "lots"}, io.Discard, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-maxmem", "lots"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("bad -maxmem accepted")
 	}
-	if err := run(context.Background(), nil, []string{"-listen", "256.0.0.1:bad"}, io.Discard, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-listen", "256.0.0.1:bad"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("bad -listen accepted")
 	}
 }
@@ -58,7 +54,7 @@ func TestDaemonServeSubmitShutdownResume(t *testing.T) {
 		out := &syncWriter{pw: pw}
 		errc := make(chan error, 1)
 		go func() {
-			errc <- run(ctx, nil, []string{"-listen", "127.0.0.1:0", "-workers", "1", "-checkpoint", wal}, out, io.Discard)
+			errc <- run(ctx, []string{"-listen", "127.0.0.1:0", "-workers", "1", "-checkpoint", wal}, out, io.Discard)
 			pw.Close()
 		}()
 
@@ -130,7 +126,7 @@ func TestDaemonServeSubmitShutdownResume(t *testing.T) {
 // and exercises POST /v1/predict both ways: in-envelope answers come
 // from the twin, alien shapes fall back to a real simulation.
 func TestDaemonTwinFlag(t *testing.T) {
-	if err := run(context.Background(), nil, []string{"-twin", t.TempDir() + "/nope.json"}, io.Discard, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-twin", t.TempDir() + "/nope.json"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("missing -twin file accepted")
 	}
 
@@ -139,7 +135,7 @@ func TestDaemonTwinFlag(t *testing.T) {
 	out := &syncWriter{pw: pw}
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run(ctx, nil, []string{"-listen", "127.0.0.1:0", "-workers", "1", "-twin", "../../TWIN_FIT.json"}, out, io.Discard)
+		errc <- run(ctx, []string{"-listen", "127.0.0.1:0", "-workers", "1", "-twin", "../../TWIN_FIT.json"}, out, io.Discard)
 		pw.Close()
 	}()
 	var addr string

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,17 +13,32 @@ import (
 	"testing"
 
 	"doall"
+	"doall/cmd/internal/cli"
 )
+
+// run drives the doall command line args with stderr discarded.
+func run(args []string, w io.Writer) error { return runWithStderr(args, w, io.Discard) }
+
+// runWithStderr drives the doall command line args with an injectable
+// stderr, so the -progress meter and interruption notices are testable.
+func runWithStderr(args []string, w, errw io.Writer) error {
+	return cli.Run(context.Background(), args, w, errw)
+}
+
+// gridArgs spells a sweep grid as command-line flags.
+func gridArgs(algos, ps, ts, ds, adv string, extra ...string) []string {
+	return append([]string{"-algos", algos, "-p", ps, "-t", ts, "-d", ds, "-adv", adv}, extra...)
+}
 
 func TestSweepFlagParsing(t *testing.T) {
 	cases := []struct {
 		name string
-		f    sweepFlags
+		args []string
 		want doall.SweepConfig
 	}{
 		{
 			name: "plain grid",
-			f:    sweepFlags{algos: "DA,PaRan1", ps: "4,8", ts: "16", ds: "1,2", adv: "fair", trials: 2, seed: 5},
+			args: gridArgs("DA,PaRan1", "4,8", "16", "1,2", "fair", "-trials", "2", "-seed", "5"),
 			want: doall.SweepConfig{
 				Algos: []string{"DA", "PaRan1"}, Ps: []int{4, 8}, Ts: []int{16}, Ds: []int64{1, 2},
 				Adversary: "fair", BaseSeed: 5, Trials: 2, Shards: 1,
@@ -29,38 +46,38 @@ func TestSweepFlagParsing(t *testing.T) {
 		},
 		{
 			name: "whitespace and empties",
-			f:    sweepFlags{algos: " DA , ,PaDet ", ps: "4", ts: "8", ds: "1", adv: "fair"},
+			args: gridArgs(" DA , ,PaDet ", "4", "8", "1", "fair"),
 			want: doall.SweepConfig{
 				Algos: []string{"DA", "PaDet"}, Ps: []int{4}, Ts: []int{8}, Ds: []int64{1},
-				Adversary: "fair", Shards: 1,
+				Adversary: "fair", Trials: 1, Shards: 1,
 			},
 		},
 		{
 			name: "adversary expression with commas",
-			f:    sweepFlags{algos: "PaRan1", ps: "4", ts: "8", ds: "2", adv: "crashing(crash=0@3,crash=1@5)"},
+			args: gridArgs("PaRan1", "4", "8", "2", "crashing(crash=0@3,crash=1@5)"),
 			want: doall.SweepConfig{
 				Algos: []string{"PaRan1"}, Ps: []int{4}, Ts: []int{8}, Ds: []int64{2},
-				Adversary: "crashing(crash=0@3,crash=1@5)", Shards: 1,
+				Adversary: "crashing(crash=0@3,crash=1@5)", Trials: 1, Shards: 1,
 			},
 		},
 		{
 			name: "semicolon adversary grid",
-			f:    sweepFlags{algos: "PaRan1", ps: "4", ts: "8", ds: "2", adv: "fair", advs: "fair; crashing ;slow-set(period=2)"},
+			args: gridArgs("PaRan1", "4", "8", "2", "fair", "-advs", "fair; crashing ;slow-set(period=2)"),
 			want: doall.SweepConfig{
 				Algos: []string{"PaRan1"}, Ps: []int{4}, Ts: []int{8}, Ds: []int64{2},
 				Adversary: "fair", Adversaries: []string{"fair", "crashing", "slow-set(period=2)"},
-				Shards: 1,
+				Trials: 1, Shards: 1,
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := tc.f.config()
+			got, err := cli.ParseSweep(tc.args, io.Discard)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("config = %+v, want %+v", got, tc.want)
+			if !reflect.DeepEqual(got.Config, tc.want) {
+				t.Fatalf("config = %+v, want %+v", got.Config, tc.want)
 			}
 		})
 	}
@@ -69,24 +86,25 @@ func TestSweepFlagParsing(t *testing.T) {
 func TestSweepFlagErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		f    sweepFlags
+		args []string
 		want string
 	}{
-		{"bad p", sweepFlags{algos: "DA", ps: "4,x", ts: "8", ds: "1", adv: "fair"}, "-p"},
-		{"bad t", sweepFlags{algos: "DA", ps: "4", ts: "", ds: "1", adv: "fair"}, "-t"},
-		{"bad d", sweepFlags{algos: "DA", ps: "4", ts: "8", ds: "one", adv: "fair"}, "-d"},
-		{"empty t axis", sweepFlags{algos: "DA", ps: "4", ts: " , ", ds: "1", adv: "fair"}, "-t"},
-		{"unknown algo", sweepFlags{algos: "DA,NoSuch", ps: "4", ts: "8", ds: "1", adv: "fair"}, "unknown algorithm"},
-		{"crash pid beyond largest p", sweepFlags{algos: "DA", ps: "4,8", ts: "8", ds: "1", adv: "crashing(crash=9@1)"}, "outside [0, 8)"},
-		{"unknown adv", sweepFlags{algos: "DA", ps: "4", ts: "8", ds: "1", adv: "nope"}, "unknown adversary"},
-		{"unknown adv in grid", sweepFlags{algos: "DA", ps: "4", ts: "8", ds: "1", adv: "fair", advs: "fair;nope"}, "unknown adversary"},
-		{"bad expression", sweepFlags{algos: "DA", ps: "4", ts: "8", ds: "1", adv: "crashing(crash=zap)"}, "PID@TIME"},
+		{"bad p", gridArgs("DA", "4,x", "8", "1", "fair"), "-p"},
+		{"bad t", gridArgs("DA", "4", "", "1", "fair"), "empty t axis"},
+		{"bad d", gridArgs("DA", "4", "8", "one", "fair"), "-d"},
+		{"empty t axis", gridArgs("DA", "4", " , ", "1", "fair"), "empty t axis"},
+		{"unknown algo", gridArgs("DA,NoSuch", "4", "8", "1", "fair"), "unknown algorithm"},
+		{"crash pid beyond largest p", gridArgs("DA", "4,8", "8", "1", "crashing(crash=9@1)"), "outside [0, 8)"},
+		{"unknown adv", gridArgs("DA", "4", "8", "1", "nope"), "unknown adversary"},
+		{"unknown adv in grid", gridArgs("DA", "4", "8", "1", "fair", "-advs", "fair;nope"), "unknown adversary"},
+		{"bad expression", gridArgs("DA", "4", "8", "1", "crashing(crash=zap)"), "PID@TIME"},
+		{"negative trials", gridArgs("DA", "4", "8", "1", "fair", "-trials", "-3"), "trials=-3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.f.config()
+			_, err := cli.ParseSweep(tc.args, io.Discard)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("config() error = %v, want substring %q", err, tc.want)
+				t.Fatalf("ParseSweep error = %v, want substring %q", err, tc.want)
 			}
 		})
 	}
@@ -96,13 +114,13 @@ func TestSweepFlagErrors(t *testing.T) {
 // parameters that are valid for the actual grid: delay/slow bounds must
 // be checked against the grid's largest d and p, not a fixed tiny shape.
 func TestSweepValidationUsesGridShape(t *testing.T) {
-	for _, f := range []sweepFlags{
-		{algos: "PaRan1", ps: "16", ts: "16", ds: "8", adv: "fair(delay=2)"},
-		{algos: "PaRan1", ps: "16", ts: "16", ds: "2", adv: "slow-set(slow=9)"},
-		{algos: "PaRan1", ps: "4,16", ts: "16", ds: "1,8", adv: "crashing(crash=7@3)"},
+	for _, args := range [][]string{
+		gridArgs("PaRan1", "16", "16", "8", "fair(delay=2)"),
+		gridArgs("PaRan1", "16", "16", "2", "slow-set(slow=9)"),
+		gridArgs("PaRan1", "4,16", "16", "1,8", "crashing(crash=7@3)"),
 	} {
-		if _, err := f.config(); err != nil {
-			t.Errorf("config(%+v) rejected a grid-valid adversary: %v", f, err)
+		if _, err := cli.ParseSweep(args, io.Discard); err != nil {
+			t.Errorf("ParseSweep(%q) rejected a grid-valid adversary: %v", args, err)
 		}
 	}
 }
@@ -111,7 +129,7 @@ func TestSweepValidationUsesGridShape(t *testing.T) {
 // CLI path and checks the BENCH-schema JSON carries the adversary axis.
 func TestSweepEndToEndRecordsAdversaries(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2",
+	err := run([]string{"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2",
 		"-advs", "fair;slow-set(period=2)", "-seed", "1"}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +158,7 @@ func TestSweepEndToEndRecordsAdversaries(t *testing.T) {
 // -advs sweep axes end to end.
 func TestSweepFaultPlaneAxes(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "-algos", "PaRan1,DA", "-p", "4", "-t", "16", "-d", "2",
+	err := run([]string{"sweep", "-algos", "PaRan1,DA", "-p", "4", "-t", "16", "-d", "2",
 		"-advs", "restarting(down=4);omitting(drop=1@0:9)", "-seed", "3"}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +186,7 @@ func TestSweepFaultPlaneAxes(t *testing.T) {
 // are rejected before the sweep starts (the -advs fail-fast path).
 func TestSweepFaultPlanePreValidates(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2",
+	err := run([]string{"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2",
 		"-advs", "restarting(down=0)"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "down=0") {
 		t.Fatalf("sweep accepted a malformed restarting expression: %v", err)
@@ -177,7 +195,7 @@ func TestSweepFaultPlanePreValidates(t *testing.T) {
 
 func TestExperimentsSubsetRuns(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-only", "E3"}, &out); err != nil {
+	if err := run([]string{"experiments", "-only", "E3"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "E3") {
@@ -190,7 +208,7 @@ func TestExperimentsSubsetRuns(t *testing.T) {
 
 func TestUnknownScaleRejected(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scale", "enormous"}, &out); err == nil {
+	if err := run([]string{"experiments", "-scale", "enormous"}, &out); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
 }
@@ -203,8 +221,8 @@ func TestProfilingFlags(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.out")
 	mem := filepath.Join(dir, "mem.out")
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2",
-		"-cpuprofile", cpu, "-memprofile", mem}, &out)
+	err := run([]string{"-cpuprofile", cpu, "-memprofile", mem,
+		"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +244,8 @@ func TestProfilingFlags(t *testing.T) {
 func TestProfilingFlagBadPathsFailFast(t *testing.T) {
 	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
 		var out bytes.Buffer
-		err := run([]string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2",
-			flag, filepath.Join(t.TempDir(), "no", "such", "dir", "p.out")}, &out)
+		err := run([]string{flag, filepath.Join(t.TempDir(), "no", "such", "dir", "p.out"),
+			"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2"}, &out)
 		if err == nil || !strings.Contains(err.Error(), flag) {
 			t.Fatalf("%s with unwritable path: err = %v, want %s error", flag, err, flag)
 		}
@@ -241,7 +259,7 @@ func TestProfilingFlagBadPathsFailFast(t *testing.T) {
 // stderr, ending in a newline, without disturbing the JSON on stdout.
 func TestProgressFlag(t *testing.T) {
 	var out, errw bytes.Buffer
-	err := runWithStderr([]string{"-sweep", "-algos", "PaRan1", "-p", "4,8", "-t", "16", "-d", "1,2",
+	err := runWithStderr([]string{"sweep", "-algos", "PaRan1", "-p", "4,8", "-t", "16", "-d", "1,2",
 		"-progress", "-workers", "1"}, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +282,7 @@ func TestProgressFlag(t *testing.T) {
 
 func TestTheoryFlagEmitsBoundsColumns(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "-theory", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2"}, &out)
+	err := run([]string{"sweep", "-theory", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +305,7 @@ func TestTheoryFlagEmitsBoundsColumns(t *testing.T) {
 
 func TestTheoryOffOmitsBoundsColumns(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2"}, &out); err != nil {
+	if err := run([]string{"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "lower_bound") {
@@ -297,7 +315,7 @@ func TestTheoryOffOmitsBoundsColumns(t *testing.T) {
 
 func TestMaxMemFailsFastOnLargeGrid(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "-algos", "PaRan1", "-p", "4096", "-t", "262144", "-d", "8", "-maxmem", "1m"}, &out)
+	err := run([]string{"sweep", "-algos", "PaRan1", "-p", "4096", "-t", "262144", "-d", "8", "-maxmem", "1m"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-maxmem") {
 		t.Fatalf("undersized budget not rejected: %v", err)
 	}
@@ -306,7 +324,7 @@ func TestMaxMemFailsFastOnLargeGrid(t *testing.T) {
 	}
 	// A generous budget lets the same flags pass validation (tiny grid
 	// so the test stays fast).
-	if err := run([]string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2", "-maxmem", "2g"}, &out); err != nil {
+	if err := run([]string{"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "2", "-maxmem", "2g"}, &out); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -317,20 +335,20 @@ func TestParseBytes(t *testing.T) {
 		"1gib": 1 << 30, "2GB": 2 << 30, "1t": 1 << 40,
 	}
 	for in, want := range cases {
-		got, err := parseBytes(in)
+		got, err := cli.ParseBytes(in)
 		if err != nil || got != want {
-			t.Fatalf("parseBytes(%q) = %d, %v; want %d", in, got, err, want)
+			t.Fatalf("cli.ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
 	for _, bad := range []string{"", "x", "-5", "0", "4q"} {
-		if _, err := parseBytes(bad); err == nil {
-			t.Fatalf("parseBytes(%q) accepted", bad)
+		if _, err := cli.ParseBytes(bad); err == nil {
+			t.Fatalf("cli.ParseBytes(%q) accepted", bad)
 		}
 	}
 }
 
 // TestCalibrateAndTwinStamping drives the analytical-twin loop end to
-// end through the CLI: sweep → -calibrate fit → re-sweep with -twin
+// end through the CLI: sweep → calibrate fit → re-sweep with -twin
 // stamping predicted columns next to the measured ones.
 func TestCalibrateAndTwinStamping(t *testing.T) {
 	dir := t.TempDir()
@@ -339,10 +357,10 @@ func TestCalibrateAndTwinStamping(t *testing.T) {
 	stamped := filepath.Join(dir, "stamped.json")
 
 	var out bytes.Buffer
-	if err := run([]string{"-sweep", "-algos", "DA,PaRan1", "-p", "4,8", "-t", "16,32", "-d", "1,2", "-out", rep}, &out); err != nil {
+	if err := run([]string{"sweep", "-algos", "DA,PaRan1", "-p", "4,8", "-t", "16,32", "-d", "1,2", "-out", rep}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-calibrate", "-bench", rep, "-out", fit}, &out); err != nil {
+	if err := run([]string{"calibrate", "-out", fit, rep}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(fit)
@@ -360,7 +378,7 @@ func TestCalibrateAndTwinStamping(t *testing.T) {
 	// The same grid re-swept with -twin carries predicted columns, and the
 	// predictions agree with the measurements (the twin was fit on exactly
 	// these cells, so its band covers them).
-	if err := run([]string{"-sweep", "-algos", "DA,PaRan1", "-p", "4,8", "-t", "16,32", "-d", "1,2", "-twin", fit, "-out", stamped}, &out); err != nil {
+	if err := run([]string{"sweep", "-algos", "DA,PaRan1", "-p", "4,8", "-t", "16,32", "-d", "1,2", "-twin", fit, "-out", stamped}, &out); err != nil {
 		t.Fatal(err)
 	}
 	sdata, err := os.ReadFile(stamped)
@@ -387,10 +405,10 @@ func TestCalibrateAndTwinStamping(t *testing.T) {
 	if err := os.WriteFile(fit, []byte(`{"version":99,"groups":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-sweep", "-algos", "DA", "-p", "4", "-t", "16", "-d", "1", "-twin", fit, "-out", stamped}, &out); err == nil {
+	if err := run([]string{"sweep", "-algos", "DA", "-p", "4", "-t", "16", "-d", "1", "-twin", fit, "-out", stamped}, &out); err == nil {
 		t.Fatal("stale fit version accepted")
 	}
-	if err := run([]string{"-calibrate", "-bench", filepath.Join(dir, "missing.json"), "-out", fit}, &out); err == nil {
+	if err := run([]string{"calibrate", "-out", fit, filepath.Join(dir, "missing.json")}, &out); err == nil {
 		t.Fatal("missing calibration input accepted")
 	}
 }

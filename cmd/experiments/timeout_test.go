@@ -9,23 +9,14 @@ import (
 	"time"
 
 	"doall"
+	"doall/cmd/internal/cli"
 )
-
-func TestVersionFlagPrintsBuild(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-version"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out.String(), "experiments ") || !strings.Contains(out.String(), doall.Version()) {
-		t.Fatalf("-version printed %q", out.String())
-	}
-}
 
 // An expired -timeout still writes the report — with the cells completed
 // so far and "partial": true — instead of discarding finished work.
 func TestSweepTimeoutWritesPartialReport(t *testing.T) {
 	var out, errw bytes.Buffer
-	err := runWithStderr([]string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "1,2",
+	err := runWithStderr([]string{"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "1,2",
 		"-timeout", "1ns"}, &out, &errw)
 	if err != nil {
 		t.Fatalf("timed-out sweep must still succeed, got %v", err)
@@ -56,7 +47,7 @@ func TestSweepSigintCancelsAndFlushes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // simulate ^C before the sweep starts
 	var out, errw bytes.Buffer
-	err := runContext(ctx, []string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "1"}, &out, &errw)
+	err := cli.Run(ctx, []string{"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "1"}, &out, &errw)
 	if err != nil {
 		t.Fatalf("canceled sweep must still flush, got %v", err)
 	}
@@ -73,7 +64,7 @@ func TestSweepSigintCancelsAndFlushes(t *testing.T) {
 // with no budget at all.
 func TestSweepTimeoutUnexpiredIsComplete(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "1",
+	err := run([]string{"sweep", "-algos", "PaRan1", "-p", "4", "-t", "16", "-d", "1",
 		"-timeout", time.Hour.String()}, &out)
 	if err != nil {
 		t.Fatal(err)

@@ -153,15 +153,6 @@ func Simulate(cfg SimConfig, machines []Machine, adv Adversary) (*Result, error)
 // next run.
 func NewSimEngine() *SimEngine { return sim.NewEngine() }
 
-// ResetSimMachines restores every machine to its initial state via the
-// optional MachineResetter extension, reporting whether all machines
-// supported it. All six paper algorithms do.
-func ResetSimMachines(machines []Machine) bool { return sim.ResetMachines(machines) }
-
-// CloneSimMachines deep-copies a machine set via the optional Cloner
-// extension (false when any machine is not cloneable, e.g. PaRan2).
-func CloneSimMachines(machines []Machine) ([]Machine, bool) { return sim.CloneMachines(machines) }
-
 // Execute runs machines on real goroutines with delayed channels; cfg.Task
 // is invoked for every performed task id.
 func Execute(cfg RunConfig, machines []Machine) (*RunReport, error) {
@@ -198,12 +189,6 @@ func NewPaDet(p, t int, schedules Schedules) ([]Machine, error) {
 // NewFairAdversary returns the benign d-adversary: full processor speed,
 // every message delayed exactly d.
 func NewFairAdversary(d int64) Adversary { return adversary.NewFair(d) }
-
-// NewRandomAdversary returns a d-adversary with random processor activity
-// and uniform delays in [1, d].
-func NewRandomAdversary(d int64, activity float64, seed int64) Adversary {
-	return adversary.NewRandom(d, activity, seed)
-}
 
 // NewCrashingAdversary wraps another adversary with scheduled crash
 // failures; it never crashes the last live processor.
@@ -247,21 +232,6 @@ func NewOmittingAdversary(inner Adversary, windows []OmitWindow, to []int) Adver
 	return adversary.NewOmitting(inner, windows, to)
 }
 
-// NewSlowSetAdversary returns a d-adversary that runs the processors in
-// slow at a fraction of full speed (one step every period units) while
-// the rest run at full speed; messages are delayed by the full bound d.
-func NewSlowSetAdversary(d int64, slow []int, period int64) Adversary {
-	return adversary.NewSlowSet(d, slow, period)
-}
-
-// NewSlowSetOverAdversary is the composable form: it wraps inner so the
-// slow processors step only every period units, leaving inner's crashes
-// and message delays untouched (the "slow-set(...)" expression
-// combinator).
-func NewSlowSetOverAdversary(inner Adversary, slow []int, period int64) Adversary {
-	return adversary.NewSlowSetOver(inner, slow, period)
-}
-
 // NewLowerBoundAdversaryDet returns the Theorem 3.1 off-line adversary
 // that forces Ω(t + p·min{d,t}·log_{d+1}(d+t)) work out of deterministic
 // algorithms (machines must support cloning).
@@ -301,13 +271,6 @@ type ScheduleSearchResult = perm.SearchResult
 func SearchSchedules(k, n, restarts int, seed int64) ScheduleSearchResult {
 	r := rand.New(rand.NewSource(seed))
 	return perm.FindLowContentionList(k, n, restarts, r)
-}
-
-// SearchDelaySchedules searches for a list of k permutations of {0,…,n-1}
-// with low d-contention (Corollary 4.5), reporting the contention found.
-func SearchDelaySchedules(k, n, d, restarts int, seed int64) ScheduleSearchResult {
-	r := rand.New(rand.NewSource(seed))
-	return perm.FindLowDContentionList(k, n, d, restarts, r)
 }
 
 // RandomSchedules returns k uniformly random permutations of {0,…,n-1}.

@@ -374,6 +374,3 @@ func (m *DA) Rejoin() {
 
 // Halted reports whether the machine has voluntarily halted.
 func (m *DA) Halted() bool { return m.halted }
-
-// TreeDoneLeaves exposes the replica's completed-leaf count (diagnostics).
-func (m *DA) TreeDoneLeaves() int { return m.tree.CountDoneLeaves() }

@@ -109,30 +109,6 @@ func snapshotEncode(full, delta wire.Kind, s *bitset.Snapshot) []byte {
 	return wire.Encode(full, bitset.New(s.Len()))
 }
 
-// FullSnapshot is the decoded form of a full (non-delta) payload message.
-type FullSnapshot struct {
-	Kind wire.Kind
-	Bits *bitset.Set
-}
-
-// DecodePayload parses an encoded payload back into its typed form: a
-// FullSnapshot for the full kinds (including every pre-delta message —
-// old kinds stay decodable), a wire.DeltaMessage for the delta kinds.
-func DecodePayload(msg []byte) (any, error) {
-	if len(msg) >= 2 && wire.DeltaKind(wire.Kind(msg[1])) {
-		dm, err := wire.DecodeDelta(msg)
-		if err != nil {
-			return nil, err
-		}
-		return dm, nil
-	}
-	kind, bits, err := wire.Decode(msg)
-	if err != nil {
-		return nil, err
-	}
-	return FullSnapshot{Kind: kind, Bits: bits}, nil
-}
-
 // knowledgeCombined is the combined knowledge cache one consumer
 // publishes in a sim.Batch (Batch.Combined): the union of the new words
 // of every snapshot in the batch, accumulated once and merged by every

@@ -4,7 +4,7 @@ package scenario
 // (p = 4096, t = 262144) allocates machine sets, engine arrays, and
 // in-flight snapshot chains per worker; launching a multi-hour sweep that
 // OOMs halfway through is the worst possible failure mode, so
-// cmd/experiments -maxmem asks for an estimate up front and refuses to
+// doall sweep -maxmem asks for an estimate up front and refuses to
 // start when the budget cannot hold the largest shape. The estimate is a
 // deliberate over-approximation (worst-case pools, every processor's
 // snapshots in flight) of steady-state heap, not an accounting of every

@@ -12,7 +12,7 @@ import (
 )
 
 // Scale selects experiment sizes: Quick keeps each experiment under ~1s
-// for tests and benchmarks; Full is what `cmd/experiments -scale full`
+// for tests and benchmarks; Full is what `doall experiments -scale full`
 // runs.
 type Scale int
 
@@ -291,7 +291,7 @@ func E10Crossover(s Scale) (*Table, error) {
 }
 
 // AllExperiments runs every experiment at the given scale, in index order.
-// This list is the experiment index (E1–E10) that cmd/experiments, the
+// This list is the experiment index (E1–E10) that doall experiments, the
 // root package's benchmarks and README refer to.
 func AllExperiments(s Scale) ([]*Table, error) {
 	fns := []func(Scale) (*Table, error){

@@ -118,7 +118,7 @@ func TestRuntimeBackendCrashRestart(t *testing.T) {
 }
 
 // TestFaultAdversariesInSweep asserts the new expressions work as sweep
-// grid axes (the cmd/experiments -advs path) and stay deterministic
+// grid axes (the doall sweep -advs path) and stay deterministic
 // across worker counts.
 func TestFaultAdversariesInSweep(t *testing.T) {
 	cfg := SweepConfig{

@@ -11,8 +11,8 @@ import (
 // count, progress callback) that make SweepConfig unmarshalable and
 // meaningless across a wire. It is the document the service plane accepts
 // over HTTP and records in its checkpoint log; Config() turns it back
-// into a runnable SweepConfig. The field names match cmd/experiments'
-// sweep flags.
+// into a runnable SweepConfig. The field names match the doall sweep
+// command's flags.
 type SweepSpec struct {
 	// Algos, Ps, Ts, Ds span the grid; every combination is one cell.
 	Algos []string `json:"algos"`
@@ -81,13 +81,13 @@ func (s SweepSpec) Cells() int {
 }
 
 // Validate checks the spec declares a runnable grid: every axis is
-// non-empty and positive, and every algorithm × adversary pair resolves
-// through the registries. Adversary parameters are probed against the
-// grid's largest shape, mirroring cmd/experiments' fail-fast validation:
-// shape-dependent parameters (fair(delay=8) with d=8, slow-set(slow=9)
-// with p=16) validate against what the cells will actually run, and
-// smaller cells that still violate a parameter surface as per-cell errors
-// in the results.
+// non-empty and positive, trials is not negative, and every algorithm ×
+// adversary pair resolves through the registries. The doall sweep
+// command runs the same check before any cell. Adversary parameters are probed against the grid's
+// largest shape: shape-dependent parameters (fair(delay=8) with d=8,
+// slow-set(slow=9) with p=16) validate against what the cells will
+// actually run, and smaller cells that still violate a parameter surface
+// as per-cell errors in the results.
 func (s SweepSpec) Validate() error {
 	switch {
 	case len(s.Algos) == 0:
@@ -123,6 +123,9 @@ func (s SweepSpec) Validate() error {
 		if d > maxD {
 			maxD = d
 		}
+	}
+	if s.Trials < 0 {
+		return fmt.Errorf("sweep: trials=%d out of range (want ≥ 0; 0 = default 1)", s.Trials)
 	}
 	if s.Shards < ShardsAuto {
 		return fmt.Errorf("sweep: shards=%d out of range (want ≥ -1; -1 = auto)", s.Shards)

@@ -58,6 +58,7 @@ func TestSweepSpecValidateRejects(t *testing.T) {
 		{"empty p", func(s *SweepSpec) { s.Ps = nil }, "p axis"},
 		{"zero t", func(s *SweepSpec) { s.Ts = []int{0} }, "t=0"},
 		{"negative d", func(s *SweepSpec) { s.Ds = []int64{-1} }, "d=-1"},
+		{"negative trials", func(s *SweepSpec) { s.Trials = -3 }, "trials=-3"},
 		{"unknown algo", func(s *SweepSpec) { s.Algos = []string{"NoSuchAlgo"} }, "algorithm"},
 		{"unknown adversary", func(s *SweepSpec) { s.Adversary = "confused" }, "adversary"},
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // SweepConfig declares an (algorithm, adversary, p, t, d) grid to measure.
-// The sweep runner is the scale harness behind cmd/experiments -sweep and
+// The sweep runner is the scale harness behind the doall sweep command and
 // the BENCH_*.json perf baselines: it fans the grid's cells across worker
 // goroutines (cells are independent simulations, so sharding is trivially
 // safe) while keeping every cell's seed — and therefore every cell's
@@ -131,7 +131,7 @@ type Cell struct {
 	PAUpperBound float64 `json:"pa_upper_bound,omitempty"`
 	WorkOverLB   float64 `json:"work_over_lb,omitempty"`
 	// Predicted columns (present when the caller stamps an analytical
-	// twin's estimates next to the measured values, e.g. cmd/experiments
+	// twin's estimates next to the measured values, e.g. doall sweep
 	// -twin): the twin's point predictions for the cell's shape. Absent
 	// when no twin was supplied or the shape is outside its envelope.
 	PredWork     float64 `json:"pred_work,omitempty"`
@@ -379,7 +379,7 @@ func addTheory(c *Cell) {
 	}
 }
 
-// SweepReport is the JSON envelope written by cmd/experiments -sweep;
+// SweepReport is the JSON envelope written by the doall sweep command;
 // BENCH_*.json files at the repo root follow this schema so successive
 // PRs can compare per-cell work/messages/ns trajectories.
 type SweepReport struct {

@@ -2,8 +2,8 @@
 // in the module, from the metadata the Go toolchain embeds at build time
 // (runtime/debug.ReadBuildInfo). Nothing is stamped by hand: a versioned
 // build reports its module version, a checkout build reports its VCS
-// revision, and both carry the toolchain that produced them, so `doallctl
-// version` against a remote `doalld` tells you exactly what is running.
+// revision, and both carry the toolchain that produced them, so `doall ctl
+// version` against a remote daemon tells you exactly what is running.
 package buildinfo
 
 import (

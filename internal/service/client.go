@@ -15,7 +15,7 @@ import (
 )
 
 // Client is the thin HTTP client half of the service plane — what
-// cmd/doallctl is built from. It holds no state beyond the base URL:
+// doall ctl is built from. It holds no state beyond the base URL:
 // all job state lives in the daemon.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:7117".

@@ -2,8 +2,8 @@
 // that owns a bounded priority queue of Scenario and sweep jobs, runs
 // them cell by cell on a shared fleet of reusable simulation engines,
 // streams per-cell results as they complete, and survives restarts by
-// write-ahead checkpointing every completed cell. cmd/doalld wraps it in
-// a process with an HTTP JSON API; cmd/doallctl is the thin client that
+// write-ahead checkpointing every completed cell. doall serve wraps it
+// in a process with an HTTP JSON API; doall ctl is the thin client that
 // shares job state with the daemon through that API.
 //
 // The resume guarantee: per-cell seeds are derived from cell coordinates
@@ -67,7 +67,7 @@ type Config struct {
 	// MaxMem, when > 0, pre-flights every sweep job against
 	// scenario.EstimateSweepBytes at the daemon's worker count and
 	// rejects jobs whose largest shape cannot fit — the same fail-fast
-	// contract as cmd/experiments -maxmem, applied at admission.
+	// contract as doall sweep -maxmem, applied at admission.
 	MaxMem int64
 	// DefaultTimeout is the wall-clock budget applied to jobs that
 	// declare none. 0 means unlimited.

@@ -310,6 +310,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Sweep: &scenario.SweepSpec{Algos: []string{"DA"}}}, // empty axes
 		{Scenario: &scenario.Scenario{Algorithm: "DA", P: 4, T: 16}, Timeout: Duration(-time.Second)},
 		{Scenario: &scenario.Scenario{Algorithm: "DA", P: 4, T: 16, Trials: -3}},
+		{Sweep: &scenario.SweepSpec{Algos: []string{"DA"}, Ps: []int{4}, Ts: []int{16}, Ds: []int64{2}, Trials: -3}},
 	}
 	for i, job := range cases {
 		if _, err := s.Submit(job); err == nil {

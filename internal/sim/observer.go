@@ -19,9 +19,6 @@ type TickPhaseProfile struct {
 	Ticks int64
 }
 
-// Total returns the summed wall-clock time across the three phases.
-func (p TickPhaseProfile) Total() time.Duration { return p.A1 + p.A2 + p.B }
-
 // PhaseProfile returns the engine's accumulated parallel-tick phase
 // timings. Call it between Runs (an Engine is not safe for concurrent
 // use, and the counters are updated on the tick path).

@@ -132,9 +132,6 @@ func (t *Tree) markPadding(tasks int) int {
 	return t.leaves - tasks
 }
 
-// Arity returns q.
-func (t *Tree) Arity() int { return t.q }
-
 // Height returns the height h (leaves are at depth h).
 func (t *Tree) Height() int { return t.height }
 
@@ -407,10 +404,6 @@ func (t *Tree) Snapshot() []bool { return t.done.ToBools() }
 // SnapshotSet returns a copy of the node bits as a compact bit set,
 // suitable for putting in a message.
 func (t *Tree) SnapshotSet() *bitset.Set { return t.done.Clone() }
-
-// SnapshotInto copies the node bits into dst (length must be Size()),
-// the allocation-free form of SnapshotSet for pooled payload buffers.
-func (t *Tree) SnapshotInto(dst *bitset.Set) { dst.CopyFrom(t.done) }
 
 // ResetPadded restores the tree to its initial NewForTasks(q, tasks)
 // state: every node cleared, then the padding leaves ≥ tasks re-marked

@@ -103,7 +103,7 @@ func TestCalibrateDeterministic(t *testing.T) {
 func TestFitFileReproducible(t *testing.T) {
 	want, err := os.ReadFile("../../TWIN_FIT.json")
 	if err != nil {
-		t.Fatalf("TWIN_FIT.json: %v (regenerate with: go run ./cmd/experiments -calibrate)", err)
+		t.Fatalf("TWIN_FIT.json: %v (regenerate with: go run ./cmd/doall calibrate)", err)
 	}
 	tw, err := Calibrate(loadBenchSamples(t), benchFiles)
 	if err != nil {
@@ -114,7 +114,7 @@ func TestFitFileReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("TWIN_FIT.json does not match a fresh calibration from the BENCH grids; regenerate with: go run ./cmd/experiments -calibrate")
+		t.Fatal("TWIN_FIT.json does not match a fresh calibration from the BENCH grids; regenerate with: go run ./cmd/doall calibrate")
 	}
 	// And the shipped bytes must load back cleanly.
 	loaded, err := Load(want)

@@ -110,9 +110,8 @@ type (
 )
 
 // Sweeps: measure whole (algorithm, adversary, p, t, d) grids, sharded
-// across workers with deterministic per-cell seeds. cmd/experiments
-// -sweep is the CLI front-end; BENCH_*.json files follow SweepReport's
-// schema.
+// across workers with deterministic per-cell seeds. `doall sweep` is
+// the CLI front-end; BENCH_*.json files follow SweepReport's schema.
 type (
 	// SweepConfig declares the grid.
 	SweepConfig = scenario.SweepConfig
@@ -153,7 +152,7 @@ func ParseSweepSpec(data []byte) (SweepSpec, error) { return scenario.ParseSweep
 // EstimateSweepMemory returns a rough upper estimate, in bytes, of the
 // steady-state heap the sweep needs: the per-worker estimate of the
 // grid's largest (p, t, d) shape times the concurrent worker count.
-// cmd/experiments -maxmem compares it against a budget and fails fast
+// `doall sweep -maxmem` compares it against a budget and fails fast
 // instead of OOMing mid-sweep; the estimate deliberately over-
 // approximates pools and in-flight snapshot chains.
 func EstimateSweepMemory(c SweepConfig) int64 { return scenario.EstimateSweepBytes(c) }
@@ -179,7 +178,7 @@ type (
 const (
 	// QuickScale keeps each experiment under ~1s.
 	QuickScale = scenario.Quick
-	// FullScale uses the full experiment sizes (cmd/experiments -scale full).
+	// FullScale uses the full experiment sizes (doall experiments -scale full).
 	FullScale = scenario.Full
 )
 

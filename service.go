@@ -5,8 +5,8 @@ import (
 	"doall/internal/service/buildinfo"
 )
 
-// The service plane: a persistent daemon core (cmd/doalld) and its thin
-// HTTP client (cmd/doallctl). A Service owns a bounded priority queue of
+// The service plane: a persistent daemon core (doall serve) and its thin
+// HTTP client (doall ctl). A Service owns a bounded priority queue of
 // scenario and sweep jobs, runs them cell by cell on a shared fleet of
 // reusable simulation engines, streams per-cell results as NDJSON, and
 // checkpoints every completed cell to a write-ahead log so jobs survive
@@ -18,7 +18,7 @@ type (
 	Service = service.Service
 	// ServiceConfig tunes a Service; the zero value is serviceable.
 	ServiceConfig = service.Config
-	// ServiceClient is the typed HTTP client (what doallctl is built from).
+	// ServiceClient is the typed HTTP client (what doall ctl is built from).
 	ServiceClient = service.Client
 	// Job is the unit of submission: one scenario or one sweep, plus
 	// priority and timeout.
@@ -66,6 +66,6 @@ func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 func ParseJob(data []byte) (Job, error) { return service.ParseJob(data) }
 
 // Version reports this build's version string, derived from the binary's
-// embedded module and VCS metadata. All doall binaries expose it via
-// -version; the daemon serves it at GET /v1/version.
+// embedded module and VCS metadata. `doall version` prints it; the
+// daemon serves it at GET /v1/version.
 func Version() string { return buildinfo.Version() }
