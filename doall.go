@@ -82,15 +82,9 @@ type (
 	// pool across runs (NewSimEngine).
 	SimEngine = sim.Engine
 	// Adversary controls asynchrony in the simulator: per-unit scheduling,
-	// crashes, and per-message delays up to its bound D().
+	// crashes, and one Delays answer per broadcast — a uniform delay up to
+	// its bound D(), or a per-recipient fill that may mark copies Omitted.
 	Adversary = sim.Adversary
-	// MulticastDelayer is the optional Adversary extension that answers a
-	// whole broadcast's delays in one call; the engine adapts adversaries
-	// that lack it, at one Delay call per recipient.
-	MulticastDelayer = sim.MulticastDelayer
-	// UniformDelayer is the optional Adversary extension for recipient-
-	// independent delays: one delay query schedules a whole broadcast.
-	UniformDelayer = sim.UniformDelayer
 	// MachineResetter is the optional Machine extension restoring a
 	// machine to its initial state without reallocating (trial reuse).
 	MachineResetter = sim.Resetter
@@ -99,10 +93,6 @@ type (
 	// mid-run without invalidating in-flight payloads (the next broadcast
 	// travels as a full rebase). All six paper algorithms implement it.
 	MachineRejoiner = sim.Rejoiner
-	// Omitter is the optional Adversary extension for message-omission
-	// faults: individual copies of a multicast are dropped before
-	// delivery while the send is still charged.
-	Omitter = sim.Omitter
 	// PayloadRecycler is the optional Machine extension receiving payload
 	// buffers back once every recipient has consumed them.
 	PayloadRecycler = sim.PayloadRecycler
@@ -134,6 +124,10 @@ type (
 // NoTask is StepResult.PerformedTask's value for a step that performed no
 // task.
 const NoTask = sim.NoTask
+
+// Omitted marks a dropped copy in an Adversary.Delays fill: the copy is
+// charged to the sender's message complexity but never delivered.
+const Omitted = sim.Omitted
 
 // Simulate runs machines under the adversary in the deterministic
 // simulator and returns exact work/message/time measurements

@@ -195,13 +195,14 @@ func TestPublicAPIFaultPlane(t *testing.T) {
 		}, []int{0}),
 		[]doall.RestartEvent{{Pid: 1, CrashAt: 2, ReviveAt: 6}},
 	)
-	// The restarting wrapper must forward the inner adversary's omission
-	// faults (engines assert extensions on the outermost adversary only).
-	om, ok := adv.(doall.Omitter)
-	if !ok {
-		t.Fatal("restarting(omitting(...)) lost the Omitter extension")
+	// The restarting wrapper must answer with the inner adversary's
+	// omission faults: pid 2's copy to 0 is dropped inside the window, its
+	// copy to 1 and pid 3's copies are not.
+	omitted := func(from, to int) bool {
+		out := make([]int64, p)
+		return adv.Delays(from, 5, out) == 0 && out[to] == doall.Omitted
 	}
-	if !om.Omit(2, 0, 5) || om.Omit(2, 1, 5) || om.Omit(3, 0, 5) {
+	if !omitted(2, 0) || omitted(2, 1) || omitted(3, 0) {
 		t.Fatal("forwarded omission does not match the inner window/subset")
 	}
 	res, err := doall.Simulate(doall.SimConfig{P: p, T: tasks, Observer: &doall.FuncObserver{

@@ -13,18 +13,14 @@ import (
 )
 
 // Fair is the benign d-adversary: every processor takes a step every time
-// unit and every message is delayed exactly Delay units (Delay ≤ d). With
-// Delay == 1 it models the fastest legal network.
+// unit and every message is delayed exactly Fixed units (Fixed ≤ d). With
+// Fixed == 1 it models the fastest legal network.
 type Fair struct {
 	Bound int64 // d
 	Fixed int64 // actual delay applied, 1 ≤ Fixed ≤ Bound (0 means Bound)
 }
 
-var (
-	_ sim.Adversary        = (*Fair)(nil)
-	_ sim.MulticastDelayer = (*Fair)(nil)
-	_ sim.UniformDelayer   = (*Fair)(nil)
-)
+var _ sim.Adversary = (*Fair)(nil)
 
 // NewFair returns a Fair adversary with delay bound d that delays every
 // message by exactly d.
@@ -42,27 +38,12 @@ func (a *Fair) Schedule(v *sim.View, dec *sim.Decision) {
 	}
 }
 
-// Delay implements sim.Adversary.
-func (a *Fair) Delay(from, to int, sentAt int64) int64 {
+// Delays implements sim.Adversary: every copy gets the fixed delay.
+func (a *Fair) Delays(from int, sentAt int64, out []int64) int64 {
 	if a.Fixed >= 1 && a.Fixed <= a.Bound {
 		return a.Fixed
 	}
 	return a.Bound
-}
-
-// DelayMulticast implements sim.MulticastDelayer: one call answers a whole
-// broadcast with the uniform fixed delay.
-func (a *Fair) DelayMulticast(from int, sentAt int64, out []int64) {
-	d := a.Delay(from, from, sentAt)
-	for j := range out {
-		out[j] = d
-	}
-}
-
-// DelayUniform implements sim.UniformDelayer: the fixed delay never
-// depends on the recipient.
-func (a *Fair) DelayUniform(from int, sentAt int64) (int64, bool) {
-	return a.Delay(from, from, sentAt), true
 }
 
 // Random is a d-adversary that activates each processor independently with
@@ -76,10 +57,7 @@ type Random struct {
 	rng      *rand.Rand
 }
 
-var (
-	_ sim.Adversary        = (*Random)(nil)
-	_ sim.MulticastDelayer = (*Random)(nil)
-)
+var _ sim.Adversary = (*Random)(nil)
 
 // NewRandom returns a Random adversary with delay bound d, per-unit
 // activation probability activity, and the given seed.
@@ -111,21 +89,15 @@ func (a *Random) Schedule(v *sim.View, dec *sim.Decision) {
 	}
 }
 
-// Delay implements sim.Adversary.
-func (a *Random) Delay(from, to int, sentAt int64) int64 {
-	return 1 + a.rng.Int63n(a.Bound)
-}
-
-// DelayMulticast implements sim.MulticastDelayer. It draws delays in
-// ascending recipient order, consuming the random stream exactly as the
-// per-recipient Delay loop would, so both engine paths are replayable
-// against each other.
-func (a *Random) DelayMulticast(from int, sentAt int64, out []int64) {
+// Delays implements sim.Adversary: one independent draw per copy, in
+// ascending recipient order.
+func (a *Random) Delays(from int, sentAt int64, out []int64) int64 {
 	for j := range out {
 		if j != from {
 			out[j] = 1 + a.rng.Int63n(a.Bound)
 		}
 	}
+	return 0
 }
 
 // CrashEvent schedules processor Pid to crash at time At.
@@ -135,25 +107,19 @@ type CrashEvent struct {
 }
 
 // Crashing wraps another adversary and injects crash failures at scheduled
-// times. The wrapped adversary's scheduling, delays, and optional engine
-// extensions are otherwise used unchanged (forwardInner). It never
-// crashes the last live processor (the model requires at least one
-// survivor).
+// times. The wrapped adversary's scheduling and delays are otherwise used
+// unchanged (forwardInner). It never crashes the last live processor (the
+// model requires at least one survivor).
 type Crashing struct {
 	forwardInner
 	Events []CrashEvent
 }
 
-var (
-	_ sim.Adversary        = (*Crashing)(nil)
-	_ sim.MulticastDelayer = (*Crashing)(nil)
-	_ sim.UniformDelayer   = (*Crashing)(nil)
-	_ sim.Omitter          = (*Crashing)(nil)
-)
+var _ sim.Adversary = (*Crashing)(nil)
 
 // NewCrashing wraps inner with the given crash schedule.
 func NewCrashing(inner sim.Adversary, events []CrashEvent) *Crashing {
-	return &Crashing{forwardInner: forward(inner), Events: events}
+	return &Crashing{forwardInner: forwardInner{inner}, Events: events}
 }
 
 // Schedule implements sim.Adversary. Crash injection is a Schedule side
@@ -191,11 +157,7 @@ type SlowSet struct {
 	Period int64
 }
 
-var (
-	_ sim.Adversary        = (*SlowSet)(nil)
-	_ sim.MulticastDelayer = (*SlowSet)(nil)
-	_ sim.UniformDelayer   = (*SlowSet)(nil)
-)
+var _ sim.Adversary = (*SlowSet)(nil)
 
 // NewSlowSet returns a SlowSet adversary: processors in slow take one step
 // every period units.
@@ -225,18 +187,8 @@ func (a *SlowSet) Schedule(v *sim.View, dec *sim.Decision) {
 	}
 }
 
-// Delay implements sim.Adversary.
-func (a *SlowSet) Delay(from, to int, sentAt int64) int64 { return a.Bound }
-
-// DelayMulticast implements sim.MulticastDelayer.
-func (a *SlowSet) DelayMulticast(from int, sentAt int64, out []int64) {
-	for j := range out {
-		out[j] = a.Bound
-	}
-}
-
-// DelayUniform implements sim.UniformDelayer.
-func (a *SlowSet) DelayUniform(from int, sentAt int64) (int64, bool) { return a.Bound, true }
+// Delays implements sim.Adversary: every copy gets the full bound.
+func (a *SlowSet) Delays(from int, sentAt int64, out []int64) int64 { return a.Bound }
 
 // SlowSetOver is the composable form of SlowSet: it wraps another
 // adversary and removes the designated slow processors from its schedule
@@ -260,12 +212,7 @@ type SlowSetOver struct {
 	Period int64
 }
 
-var (
-	_ sim.Adversary        = (*SlowSetOver)(nil)
-	_ sim.MulticastDelayer = (*SlowSetOver)(nil)
-	_ sim.UniformDelayer   = (*SlowSetOver)(nil)
-	_ sim.Omitter          = (*SlowSetOver)(nil)
-)
+var _ sim.Adversary = (*SlowSetOver)(nil)
 
 // NewSlowSetOver wraps inner so processors in slow step only every period
 // units (when inner schedules them at all).
@@ -277,7 +224,7 @@ func NewSlowSetOver(inner sim.Adversary, slow []int, period int64) *SlowSetOver 
 	if period < 1 {
 		period = 1
 	}
-	return &SlowSetOver{forwardInner: forward(inner), Slow: m, Period: period}
+	return &SlowSetOver{forwardInner: forwardInner{inner}, Slow: m, Period: period}
 }
 
 // Schedule implements sim.Adversary: the inner decision filtered in

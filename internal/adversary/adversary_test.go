@@ -38,24 +38,27 @@ func TestFairDelayBounds(t *testing.T) {
 	if a.D() != 5 {
 		t.Fatal("wrong bound")
 	}
-	if d := a.Delay(0, 1, 10); d != 5 {
-		t.Fatalf("Delay = %d, want 5", d)
+	if d := a.Delays(0, 10, nil); d != 5 {
+		t.Fatalf("Delays = %d, want 5", d)
 	}
 	a.Fixed = 2
-	if d := a.Delay(0, 1, 10); d != 2 {
-		t.Fatalf("Delay = %d, want 2", d)
+	if d := a.Delays(0, 10, nil); d != 2 {
+		t.Fatalf("Delays = %d, want 2", d)
 	}
 	a.Fixed = 9 // out of range → fall back to bound
-	if d := a.Delay(0, 1, 10); d != 5 {
-		t.Fatalf("Delay = %d, want clamped 5", d)
+	if d := a.Delays(0, 10, nil); d != 5 {
+		t.Fatalf("Delays = %d, want clamped 5", d)
 	}
 }
 
 func TestRandomDelaysWithinBound(t *testing.T) {
 	a := NewRandom(7, 0.5, 3)
+	out := make([]int64, 2)
 	for i := 0; i < 1000; i++ {
-		d := a.Delay(0, 1, int64(i))
-		if d < 1 || d > 7 {
+		if u := a.Delays(0, int64(i), out); u != 0 {
+			t.Fatalf("uniform %d; random delays must fill", u)
+		}
+		if d := out[1]; d < 1 || d > 7 {
 			t.Fatalf("delay %d outside [1,7]", d)
 		}
 	}

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"doall/internal/sim"
@@ -210,6 +211,19 @@ func TestRestartingClampsNextWake(t *testing.T) {
 	}
 }
 
+// omittedSlots asks a for one broadcast's delays and reports which
+// recipient slots it marks sim.Omitted.
+func omittedSlots(a sim.Adversary, p, from int, sentAt int64) []bool {
+	out := make([]int64, p)
+	drop := make([]bool, p)
+	if a.Delays(from, sentAt, out) == 0 {
+		for j, dl := range out {
+			drop[j] = j != from && dl == sim.Omitted
+		}
+	}
+	return drop
+}
+
 func TestOmittingWindows(t *testing.T) {
 	a := NewOmitting(NewFair(2), []OmitWindow{{Pid: 1, From: 5, Until: 9}}, nil)
 	cases := []struct {
@@ -224,46 +238,23 @@ func TestOmittingWindows(t *testing.T) {
 		{0, 6, false}, // other sender
 	}
 	for _, c := range cases {
-		if got := a.OmitsAt(c.from, c.sentAt); got != c.want {
-			t.Errorf("OmitsAt(%d, %d) = %v, want %v", c.from, c.sentAt, got, c.want)
+		drop := omittedSlots(a, 5, c.from, c.sentAt)
+		if got := slices.Contains(drop, true); got != c.want {
+			t.Errorf("Delays(%d, %d) omits some copy = %v, want %v", c.from, c.sentAt, got, c.want)
 		}
-		if got := a.Omit(c.from, 3, c.sentAt); got != c.want {
-			t.Errorf("Omit(%d, 3, %d) = %v, want %v", c.from, c.sentAt, got, c.want)
+		if got := drop[3]; got != c.want {
+			t.Errorf("Delays(%d, %d) omits the copy to 3 = %v, want %v", c.from, c.sentAt, got, c.want)
 		}
 	}
 }
 
 func TestOmittingToSubset(t *testing.T) {
 	a := NewOmitting(NewFair(2), []OmitWindow{{Pid: 0, From: 0, Until: 100}}, []int{2, 3})
+	drop := omittedSlots(a, 5, 0, 10)
 	for to := 0; to < 5; to++ {
 		want := to == 2 || to == 3
-		if got := a.Omit(0, to, 10); got != want {
-			t.Errorf("Omit(0, %d, 10) = %v, want %v (subset {2,3})", to, got, want)
-		}
-	}
-}
-
-// TestFaultCombinatorsForwardExtensions asserts the combinators stay on
-// the engine's fast paths exactly when their inner adversary does.
-func TestFaultCombinatorsForwardExtensions(t *testing.T) {
-	fair := NewFair(3)
-	for name, adv := range map[string]sim.Adversary{
-		"restarting": NewRestarting(fair, nil),
-		"omitting":   NewOmitting(fair, nil, nil),
-	} {
-		ud, ok := adv.(sim.UniformDelayer)
-		if !ok {
-			t.Fatalf("%s: no UniformDelayer", name)
-		}
-		if dl, uok := ud.DelayUniform(0, 0); !uok || dl != 3 {
-			t.Errorf("%s(fair): DelayUniform = (%d, %v), want (3, true)", name, dl, uok)
-		}
-		out := make([]int64, 4)
-		adv.(sim.MulticastDelayer).DelayMulticast(0, 0, out)
-		for j := 1; j < 4; j++ {
-			if out[j] != 3 {
-				t.Errorf("%s(fair): DelayMulticast out[%d] = %d, want 3", name, j, out[j])
-			}
+		if got := drop[to]; got != want {
+			t.Errorf("Delays(0, 10) omits the copy to %d = %v, want %v (subset {2,3})", to, got, want)
 		}
 	}
 }

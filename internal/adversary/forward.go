@@ -4,38 +4,15 @@ import "doall/internal/sim"
 
 // forwardInner is the embedded half of every wrapping combinator
 // (Crashing, Restarting, Omitting, SlowSetOver): it holds the wrapped
-// adversary and forwards the whole delay contract plus every optional
-// engine extension to it, so a wrapper stays on the engine's fast paths
-// exactly when its inner adversary does. Centralizing the forwarding
-// matters beyond deduplication: engines assert extensions on the
-// outermost adversary only, so a wrapper that forgets to forward one
-// silently strips the behavior from compositions (an omission fault
-// vanishing inside crashing(omitting(fair)), say). A future sim
-// extension needs a forwarding method here, once, and every combinator
-// picks it up by promotion. Wrappers override what they specialize —
-// Schedule, and Omitting also the Omitter pair.
-//
-// The inner adversary's extension implementations are resolved once at
-// construction (forward), not per call — Delay*/Omit* run on the
-// engine's per-broadcast path. Inner must not be replaced after
-// construction, or the cached capabilities go stale.
+// adversary and forwards the whole sim.Adversary contract to it — D,
+// Schedule and Delays — so a wrapper answers a broadcast exactly as its
+// inner adversary does, uniform return and omitted slots included.
+// Wrappers override what they specialize: Schedule, and Omitting also
+// Delays.
 type forwardInner struct {
 	// Inner is the wrapped adversary (promoted, so wrapper.Inner reads
-	// work; construct via the NewX constructors, never by literal).
+	// work).
 	Inner sim.Adversary
-	md    sim.MulticastDelayer
-	ud    sim.UniformDelayer
-	om    sim.Omitter
-}
-
-// forward builds the embedded forwarder, resolving the inner adversary's
-// optional extensions once.
-func forward(inner sim.Adversary) forwardInner {
-	f := forwardInner{Inner: inner}
-	f.md, _ = inner.(sim.MulticastDelayer)
-	f.ud, _ = inner.(sim.UniformDelayer)
-	f.om, _ = inner.(sim.Omitter)
-	return f
 }
 
 // D implements sim.Adversary.
@@ -45,43 +22,9 @@ func (f forwardInner) D() int64 { return f.Inner.D() }
 // that edit the decision override it.
 func (f forwardInner) Schedule(v *sim.View, dec *sim.Decision) { f.Inner.Schedule(v, dec) }
 
-// Delay implements sim.Adversary.
-func (f forwardInner) Delay(from, to int, sentAt int64) int64 {
-	return f.Inner.Delay(from, to, sentAt)
-}
-
-// DelayMulticast implements sim.MulticastDelayer, forwarding to the
-// inner adversary's batched path when it has one and adapting its
-// per-recipient Delay otherwise.
-func (f forwardInner) DelayMulticast(from int, sentAt int64, out []int64) {
-	if f.md != nil {
-		f.md.DelayMulticast(from, sentAt, out)
-		return
-	}
-	for j := range out {
-		if j != from {
-			out[j] = f.Inner.Delay(from, j, sentAt)
-		}
-	}
-}
-
-// DelayUniform implements sim.UniformDelayer, uniform exactly when the
-// inner adversary is.
-func (f forwardInner) DelayUniform(from int, sentAt int64) (int64, bool) {
-	if f.ud != nil {
-		return f.ud.DelayUniform(from, sentAt)
-	}
-	return 0, false
-}
-
-// OmitsAt implements sim.Omitter, forwarding to the wrapped adversary.
-func (f forwardInner) OmitsAt(from int, sentAt int64) bool {
-	return f.om != nil && f.om.OmitsAt(from, sentAt)
-}
-
-// Omit implements sim.Omitter, forwarding to the wrapped adversary.
-func (f forwardInner) Omit(from, to int, sentAt int64) bool {
-	return f.om != nil && f.om.Omit(from, to, sentAt)
+// Delays implements sim.Adversary, forwarding unchanged.
+func (f forwardInner) Delays(from int, sentAt int64, out []int64) int64 {
+	return f.Inner.Delays(from, sentAt, out)
 }
 
 // pendingLive returns how many processors remain live once the crashes

@@ -2,8 +2,8 @@ package adversary
 
 import "doall/internal/sim"
 
-// OmitWindow schedules message-omission faults: every multicast (or
-// point-to-point send) issued by processor Pid with a send time in
+// OmitWindow schedules message-omission faults: every multicast issued by
+// processor Pid with a send time in
 // [From, Until) has its copies dropped by the network. The send is still
 // charged to message complexity — omission is a network fault, not a
 // refund — but the dropped copies are never delivered.
@@ -17,10 +17,10 @@ type OmitWindow struct {
 // delivery. With a non-empty To list only copies addressed to the listed
 // recipients are dropped — the complement still receives the multicast,
 // modeling deliver-to-subset omission; an empty To drops every copy.
-// Scheduling, delays, and optional engine extensions come from the
-// wrapped adversary unchanged (forwardInner), so omission composes with
-// any asynchrony pattern — including another omitting layer, whose
-// windows remain in force through the Omitter forwarding. Omission
+// Scheduling and delays come from the wrapped adversary unchanged
+// (forwardInner), so omission composes with any asynchrony pattern —
+// including another omitting layer, whose omitted slots stay marked in
+// the fill this layer extends. Omission
 // needs no NextWake clamping: it keys on send times, and sends only
 // happen in units where some processor steps — units a correct idle
 // promise never skips.
@@ -32,12 +32,7 @@ type Omitting struct {
 	toSet map[int]bool
 }
 
-var (
-	_ sim.Adversary        = (*Omitting)(nil)
-	_ sim.MulticastDelayer = (*Omitting)(nil)
-	_ sim.UniformDelayer   = (*Omitting)(nil)
-	_ sim.Omitter          = (*Omitting)(nil)
-)
+var _ sim.Adversary = (*Omitting)(nil)
 
 // NewOmitting wraps inner with the given omission schedule; to (may be
 // nil) restricts the dropped copies to the listed recipients.
@@ -49,32 +44,38 @@ func NewOmitting(inner sim.Adversary, windows []OmitWindow, to []int) *Omitting 
 			set[pid] = true
 		}
 	}
-	return &Omitting{forwardInner: forward(inner), Windows: windows, To: to, toSet: set}
+	return &Omitting{forwardInner: forwardInner{inner}, Windows: windows, To: to, toSet: set}
 }
 
-// OmitsAt implements sim.Omitter: whether any copy of a multicast sent
-// by `from` at `sentAt` may be dropped, by this layer's windows or by a
-// wrapped omitting adversary. Pure in its arguments.
-func (a *Omitting) OmitsAt(from int, sentAt int64) bool {
+// Delays implements sim.Adversary. The inner adversary always answers
+// first, so its random stream is consumed exactly as without omission.
+// When a window covers the send, the answer becomes a fill: the inner
+// delays (spread from a uniform answer when there was one) with the
+// copies to the To recipients, or to everyone, marked sim.Omitted.
+func (a *Omitting) Delays(from int, sentAt int64, out []int64) int64 {
+	dl := a.Inner.Delays(from, sentAt, out)
+	if !a.covers(from, sentAt) {
+		return dl
+	}
+	for j := range out {
+		switch {
+		case j == from:
+		case a.toSet == nil || a.toSet[j]:
+			out[j] = sim.Omitted
+		case dl != 0:
+			out[j] = dl
+		}
+	}
+	return 0
+}
+
+// covers reports whether one of the windows covers a send by `from` at
+// `sentAt`.
+func (a *Omitting) covers(from int, sentAt int64) bool {
 	for _, w := range a.Windows {
 		if w.Pid == from && sentAt >= w.From && sentAt < w.Until {
 			return true
 		}
 	}
-	return a.forwardInner.OmitsAt(from, sentAt)
-}
-
-// Omit implements sim.Omitter: whether the copy addressed to `to` is
-// dropped — by this layer (window match, recipient in the To subset) or
-// by a wrapped omitting adversary. Pure in its arguments.
-func (a *Omitting) Omit(from, to int, sentAt int64) bool {
-	for _, w := range a.Windows {
-		if w.Pid == from && sentAt >= w.From && sentAt < w.Until {
-			if a.toSet == nil || a.toSet[to] {
-				return true
-			}
-			break
-		}
-	}
-	return a.forwardInner.Omit(from, to, sentAt)
+	return false
 }

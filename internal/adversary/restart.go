@@ -15,9 +15,9 @@ type RestartEvent struct {
 
 // Restarting wraps another adversary and injects restartable-crash
 // faults at scheduled times — the crash-restart analogue of Crashing.
-// The wrapped adversary's scheduling, delays, and optional engine
-// extensions are otherwise used unchanged (forwardInner). Like Crashing
-// it never crashes the last live processor, and it clamps any inherited
+// The wrapped adversary's scheduling and delays are otherwise used
+// unchanged (forwardInner). Like Crashing it never crashes the last live
+// processor, and it clamps any inherited
 // NextWake idle promise to the next pending crash or revive instant so
 // the engine's fast-forward cannot jump over a fault event.
 //
@@ -49,18 +49,13 @@ type Restarting struct {
 	injected map[int]bool
 }
 
-var (
-	_ sim.Adversary        = (*Restarting)(nil)
-	_ sim.MulticastDelayer = (*Restarting)(nil)
-	_ sim.UniformDelayer   = (*Restarting)(nil)
-	_ sim.Omitter          = (*Restarting)(nil)
-)
+var _ sim.Adversary = (*Restarting)(nil)
 
 // NewRestarting wraps inner with the given crash-restart schedule.
 // Events whose ReviveAt is not after their CrashAt revive never (they
 // degrade to plain crashes).
 func NewRestarting(inner sim.Adversary, events []RestartEvent) *Restarting {
-	return &Restarting{forwardInner: forward(inner), Events: events}
+	return &Restarting{forwardInner: forwardInner{inner}, Events: events}
 }
 
 // Schedule implements sim.Adversary. Crash and revive injection are

@@ -74,11 +74,7 @@ type StageDeterministic struct {
 	Stages int64
 }
 
-var (
-	_ sim.Adversary        = (*StageDeterministic)(nil)
-	_ sim.MulticastDelayer = (*StageDeterministic)(nil)
-	_ sim.UniformDelayer   = (*StageDeterministic)(nil)
-)
+var _ sim.Adversary = (*StageDeterministic)(nil)
 
 // NewStageDeterministic builds the Theorem 3.1 adversary for t tasks and
 // delay bound d.
@@ -96,23 +92,10 @@ func NewStageDeterministic(d int64, t int) *StageDeterministic {
 // D implements sim.Adversary.
 func (a *StageDeterministic) D() int64 { return a.Bound }
 
-// Delay implements sim.Adversary: hold messages to the stage boundary.
-func (a *StageDeterministic) Delay(from, to int, sentAt int64) int64 {
+// Delays implements sim.Adversary: hold messages to the stage boundary,
+// which every recipient of a multicast shares.
+func (a *StageDeterministic) Delays(from int, sentAt int64, out []int64) int64 {
 	return a.clock.delayToStageEnd(sentAt)
-}
-
-// DelayMulticast implements sim.MulticastDelayer: every recipient of a
-// multicast shares the same stage-boundary delivery time.
-func (a *StageDeterministic) DelayMulticast(from int, sentAt int64, out []int64) {
-	d := a.clock.delayToStageEnd(sentAt)
-	for j := range out {
-		out[j] = d
-	}
-}
-
-// DelayUniform implements sim.UniformDelayer.
-func (a *StageDeterministic) DelayUniform(from int, sentAt int64) (int64, bool) {
-	return a.clock.delayToStageEnd(sentAt), true
 }
 
 // Schedule implements sim.Adversary. When the construction has delayed
@@ -239,11 +222,7 @@ type StageOnline struct {
 	Stages int64
 }
 
-var (
-	_ sim.Adversary        = (*StageOnline)(nil)
-	_ sim.MulticastDelayer = (*StageOnline)(nil)
-	_ sim.UniformDelayer   = (*StageOnline)(nil)
-)
+var _ sim.Adversary = (*StageOnline)(nil)
 
 // NewStageOnline builds the Theorem 3.4 adversary for t tasks and delay
 // bound d.
@@ -261,22 +240,9 @@ func NewStageOnline(d int64, t int) *StageOnline {
 // D implements sim.Adversary.
 func (a *StageOnline) D() int64 { return a.Bound }
 
-// Delay implements sim.Adversary.
-func (a *StageOnline) Delay(from, to int, sentAt int64) int64 {
+// Delays implements sim.Adversary: hold messages to the stage boundary.
+func (a *StageOnline) Delays(from int, sentAt int64, out []int64) int64 {
 	return a.clock.delayToStageEnd(sentAt)
-}
-
-// DelayMulticast implements sim.MulticastDelayer.
-func (a *StageOnline) DelayMulticast(from int, sentAt int64, out []int64) {
-	d := a.clock.delayToStageEnd(sentAt)
-	for j := range out {
-		out[j] = d
-	}
-}
-
-// DelayUniform implements sim.UniformDelayer.
-func (a *StageOnline) DelayUniform(from int, sentAt int64) (int64, bool) {
-	return a.clock.delayToStageEnd(sentAt), true
 }
 
 // Schedule implements sim.Adversary.

@@ -255,7 +255,4 @@ func (a *quickFair) Schedule(v *sim.View, dec *sim.Decision) {
 		dec.Active = append(dec.Active, i)
 	}
 }
-func (a *quickFair) Delay(from, to int, sentAt int64) int64 { return a.d }
-func (a *quickFair) DelayUniform(from int, sentAt int64) (int64, bool) {
-	return a.d, true
-}
+func (a *quickFair) Delays(from int, sentAt int64, out []int64) int64 { return a.d }

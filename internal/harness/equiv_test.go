@@ -187,6 +187,11 @@ func (a *recipientSkewAdv) Schedule(v *sim.View, dec *sim.Decision) {
 	}
 }
 
-func (a *recipientSkewAdv) Delay(from, to int, sentAt int64) int64 {
-	return 1 + (int64(to)+sentAt)%a.d
+func (a *recipientSkewAdv) Delays(from int, sentAt int64, out []int64) int64 {
+	for j := range out {
+		if j != from {
+			out[j] = 1 + (int64(j)+sentAt)%a.d
+		}
+	}
+	return 0
 }

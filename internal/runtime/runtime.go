@@ -7,7 +7,7 @@
 // and user-supplied task bodies.
 //
 // The runtime measures work in local steps and message complexity in
-// point-to-point sends; because goroutine scheduling is nondeterministic,
+// point-to-point messages; because goroutine scheduling is nondeterministic,
 // these are single-execution observations, not worst cases — use the
 // simulator for reproducible experiments.
 package runtime
@@ -292,14 +292,6 @@ func (r *runner) processor(pid int, m sim.Machine) {
 				if !r.send(pid, j, local, res.Broadcast) {
 					return
 				}
-			}
-		}
-		for _, snd := range res.Sends {
-			if snd.To < 0 || snd.To >= r.cfg.P || snd.To == pid || snd.Payload == nil {
-				continue
-			}
-			if !r.send(pid, snd.To, local, snd.Payload) {
-				return
 			}
 		}
 		if res.Halt {

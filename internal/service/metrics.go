@@ -192,7 +192,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 
 	p("# HELP doalld_sim_steps_total Machine steps executed across all cell runs.\n# TYPE doalld_sim_steps_total counter\n")
 	p("doalld_sim_steps_total %d\n", c.steps.Load())
-	p("# HELP doalld_sim_multicasts_total Sends issued: one per broadcast, one per point-to-point send.\n# TYPE doalld_sim_multicasts_total counter\n")
+	p("# HELP doalld_sim_multicasts_total Broadcasts issued, one per multicast step.\n# TYPE doalld_sim_multicasts_total counter\n")
 	p("doalld_sim_multicasts_total %d\n", c.multicasts.Load())
 	p("# HELP doalld_sim_messages_total Point-to-point message copies charged to senders, omitted copies included.\n# TYPE doalld_sim_messages_total counter\n")
 	p("doalld_sim_messages_total %d\n", c.messages.Load())

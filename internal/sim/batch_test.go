@@ -14,8 +14,7 @@ func (a *batchFair) Schedule(v *View, dec *Decision) {
 		dec.Active = append(dec.Active, i)
 	}
 }
-func (a *batchFair) Delay(from, to int, sentAt int64) int64            { return a.d }
-func (a *batchFair) DelayUniform(from int, sentAt int64) (int64, bool) { return a.d, true }
+func (a *batchFair) Delays(from int, sentAt int64, out []int64) int64 { return a.d }
 
 // chatty is a plain (non-BatchConsumer) machine: every step it broadcasts
 // its pid and counts every distinct message it received. Under the

@@ -43,21 +43,8 @@ type Engine struct {
 	cfg      Config
 	machines []Machine
 	adv      Adversary
-	obs      Observer         // cfg.Observer; nil = zero-cost no hooks
-	batched  MulticastDelayer // adv, when it supports batched delays
-	uniform  UniformDelayer   // adv, when its delays are recipient-independent
-	omitter  Omitter          // adv, when it may omit deliveries
-	// advSrc is the adversary the cached facets above were derived from,
-	// so repeat runs with the same adversary skip the
-	// interface assertions entirely. This is a zero-allocation contract,
-	// not just a shortcut: the runtime populates each assertion site's
-	// itab cache lazily and randomly (~1/1024 of misses allocate a new
-	// cache), so asserting adv.(Omitter) once per run keeps a small
-	// per-run chance of one stray steady-state allocation alive for
-	// ~1000 runs. Only comparable adversaries are recorded (advSrc stays
-	// nil otherwise), which keeps the == test panic-free.
-	advSrc   Adversary
-	d        int64 // adv.D(), cached
+	obs      Observer // cfg.Observer; nil = zero-cost no hooks
+	d        int64    // adv.D(), cached
 	wheel    *wheel
 	inbox    [][]Delivery
 	crashed  []bool
@@ -68,16 +55,20 @@ type Engine struct {
 	res      Result
 	view     View     // reused across ticks; only Now/InFlight change
 	dec      Decision // reused across ticks; adversaries append into it
-	delays   []int64  // scratch for per-recipient delays, length P
+	delays   []int64  // Adversary.Delays fill scratch, length P, zero between broadcasts
 	// recyclers[i] is machines[i]'s PayloadRecycler, nil when unsupported.
 	recyclers []PayloadRecycler
 	// sizers[i] is machines[i]'s PayloadSizer, nil when unsupported.
 	sizers []PayloadSizer
 	// facetSrc[i] is the machine whose optional facets are cached in
 	// recyclers/sizers/batchers[i]; an engine-owned copy (not an alias
-	// of the caller's slice) so in-place element swaps are detected. Same
-	// zero-allocation rationale as advSrc; non-comparable machines are
-	// never recorded.
+	// of the caller's slice) so in-place element swaps are detected. This
+	// is a zero-allocation contract, not just a shortcut: the runtime
+	// populates each assertion site's itab cache lazily and randomly
+	// (~1/1024 of misses allocate a new cache), so asserting the facets
+	// once per run keeps a small per-run chance of one stray steady-state
+	// allocation alive for ~1000 runs. Non-comparable machines are never
+	// recorded, which keeps the == test panic-free.
 	facetSrc []Machine
 	// freeMC pools Multicast records across broadcasts and runs; a record
 	// returns here once its last outstanding delivery is consumed.
@@ -275,16 +266,6 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 	e.machines = machines
 	e.adv = adv
 	e.obs = cfg.Observer
-	if e.advSrc != adv {
-		e.batched, _ = adv.(MulticastDelayer)
-		e.uniform, _ = adv.(UniformDelayer)
-		e.omitter, _ = adv.(Omitter)
-		if reflect.TypeOf(adv).Comparable() {
-			e.advSrc = adv
-		} else {
-			e.advSrc = nil
-		}
-	}
 	e.d = adv.D()
 	if e.wheel == nil || len(e.wheel.buckets) != wheelBuckets(e.d) {
 		e.wheel = newWheel(e.d)
@@ -424,7 +405,7 @@ func (e *Engine) dropBatches(i int) {
 // deliverBucket routes one timing-wheel bucket's events. A bucket of only
 // uniform multicasts becomes one shared Batch — O(multicasts) work
 // regardless of p; a bucket containing any per-recipient event
-// (non-uniform delays, point-to-point sends, omitting broadcasts) is
+// (non-uniform delays, broadcasts with omitted copies) is
 // delivered eagerly, event by event, so grouped and eager deliveries
 // never interleave within one time unit and inbox ordering matches the
 // legacy engine's. An observer sees one OnDeliver per live recipient in
@@ -556,8 +537,9 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 // share of the engine update into shard block sb: batch cursor
 // advancement and the consumption histogram that mergeBlocks folds into
 // the batches' remaining counts, step and work counters, task-execution
-// classification, and message, multicast and byte charges. Everything order-dependent — inbox release, broadcasts and
-// sends, the task ledger, halts, observer hooks — is left to finishStep.
+// classification, and message, multicast and byte charges. Everything
+// order-dependent — inbox release, broadcasts, the task ledger, halts,
+// observer hooks — is left to finishStep.
 // It runs on the engine's goroutine in the sequential tick (block 0) and
 // on the step's shard worker in a parallel one, and besides the machine
 // writes only sb and the stepping processor's own cursor and PerProcWork
@@ -577,11 +559,10 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 //     already performed it (possible only in the sequential tick, whose
 //     finishStep runs between steps). Out-of-range tasks are left for
 //     finishStep's validation panic.
-//   - A broadcast charges p-1 messages and p-1 wire sizes and a valid send
-//     charges one of each, omitted or not, and either counts one
-//     multicast, so no adversary query is needed here and the stateful
-//     omit stream stays untouched until finishStep replays it (which is
-//     where omissions are counted).
+//   - A broadcast charges p-1 messages and p-1 wire sizes, omitted copies
+//     included, and counts one multicast, so no adversary query is needed
+//     here and a stateful delay stream stays untouched until finishStep
+//     draws it (which is where omissions are counted).
 func (e *Engine) stepMachine(i int, now int64, sb *shardBlock, r *StepResult) {
 	inbox := e.inbox[i]
 	pend := e.pending(i)
@@ -627,27 +608,17 @@ func (e *Engine) stepMachine(i int, now int64, sb *shardBlock, r *StepResult) {
 			sb.bytes += e.wireSize(i, r.Broadcast) * n
 		}
 	}
-	for _, snd := range r.Sends {
-		if snd.To < 0 || snd.To >= e.cfg.P || snd.To == i || snd.Payload == nil {
-			continue
-		}
-		sb.msgs++
-		sb.mcasts++
-		if counting {
-			sb.bytes += e.wireSize(i, snd.Payload)
-		}
-	}
 }
 
 // finishStep applies the order-dependent rest of a completed step, in
 // schedule order after stepMachine staged its commutative share:
 // inbox release, the observer's OnStep, task-ledger set-bits (in schedule
 // order, so the Undone count each halt check reads is exactly the
-// mid-tick value), multicast publication into the ring and wheel (with
-// its adversary delay and omission queries and pool traffic — this is
-// what keeps stateful delay streams and pool LIFO order identical between
-// the sequential and parallel ticks) and its OnOmit and OnMulticast hooks,
-// the omission counts, halting, and the informed check.
+// mid-tick value), multicast publication into the wheel (with its
+// adversary delay query and pool traffic — this is what keeps stateful
+// delay streams and pool LIFO order identical between the sequential and
+// parallel ticks) and its OnOmit and OnMulticast hooks, the omission
+// counts, halting, and the informed check.
 func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 	// The machine consumed its inbox: drop the delivery references
 	// (recycling records whose last recipient this was) and reuse the
@@ -678,35 +649,6 @@ func (e *Engine) finishStep(i int, now int64, r *StepResult, informed *bool) {
 
 	if r.Broadcast != nil && e.cfg.P > 1 {
 		e.broadcast(i, now, r.Broadcast)
-	}
-
-	for _, snd := range r.Sends {
-		if snd.To < 0 || snd.To >= e.cfg.P || snd.To == i || snd.Payload == nil {
-			continue
-		}
-		delay := e.adv.Delay(i, snd.To, now)
-		if delay < 1 || delay > e.d {
-			panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", delay, e.d))
-		}
-		if e.omitter != nil && e.omitter.Omit(i, snd.To, now) {
-			// The send is charged, the copy never flies; the payload
-			// goes straight back to the sender's pool.
-			e.res.Omissions++
-			if e.obs != nil {
-				e.obs.OnOmit(i, snd.To, now)
-				e.obs.OnMulticast(i, now, snd.Payload, 1)
-			}
-			if rc := e.recyclers[i]; rc != nil {
-				rc.RecyclePayload(snd.Payload)
-			}
-			continue
-		}
-		mc := e.getMC(i, now, snd.Payload, 1)
-		e.wheel.push(wevent{mc: mc, to: int32(snd.To)}, now+delay)
-		e.inflight++
-		if e.obs != nil {
-			e.obs.OnMulticast(i, now, snd.Payload, 1)
-		}
 	}
 
 	if r.Halt {
@@ -824,125 +766,62 @@ func (e *Engine) tick(now int64) {
 	}
 }
 
-// broadcast schedules one multicast: one adversary call (when batched),
-// one pooled Multicast record, and one wheel event when all recipients
-// share a delay — the p²-allocations hot path of the per-message engine
-// reduced to zero steady-state allocations.
+// broadcast schedules one multicast with one adversary call and one
+// pooled Multicast record. A uniform answer, or a fill whose copies all
+// share one delay, is one wheel event — the p²-allocations hot path of
+// the per-message engine reduced to zero steady-state allocations. Any
+// other fill schedules each kept copy as a per-recipient event and drops
+// each omitted one: still charged to the sender's message complexity
+// (stepMachine staged the charge), never put in flight. When every copy
+// is omitted the record is recycled on the spot, handing the payload back
+// to the sender's pool.
 func (e *Engine) broadcast(i int, now int64, payload any) {
 	p := e.cfg.P
-	if e.omitter != nil && e.omitter.OmitsAt(i, now) {
-		e.broadcastOmitting(i, now, payload)
-		return
-	}
-	mc := e.getMC(i, now, payload, int32(p-1))
-	if e.uniform != nil {
-		// Recipient-independent delays: one delay query, one validation,
-		// one wheel event — no per-recipient work at all.
-		if dl, ok := e.uniform.DelayUniform(i, now); ok {
-			if dl < 1 || dl > e.d {
-				panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", dl, e.d))
-			}
-			e.wheel.push(wevent{mc: mc, to: -1}, now+dl)
-			e.finishMulticast(i, now, payload, p-1)
-			return
-		}
-	}
 	delays := e.delays
-	if e.batched != nil {
-		e.batched.DelayMulticast(i, now, delays)
-	} else {
+	dl := e.adv.Delays(i, now, delays)
+	if dl < 0 || dl > e.d {
+		panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", dl, e.d))
+	}
+	kept, spread, filled := p-1, false, dl == 0
+	if filled {
 		for j := 0; j < p; j++ {
-			if j != i {
-				delays[j] = e.adv.Delay(i, j, now)
+			if j == i {
+				continue
+			}
+			switch x := delays[j]; {
+			case x == Omitted:
+				kept--
+				spread = true
+				e.res.Omissions++
+				if e.obs != nil {
+					e.obs.OnOmit(i, j, now)
+				}
+			case x < 1 || x > e.d:
+				panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", x, e.d))
+			case dl == 0:
+				dl = x
+			case x != dl:
+				spread = true
 			}
 		}
 	}
-	uniform := true
-	first := int64(-1)
-	for j := 0; j < p; j++ {
-		if j == i {
-			continue
-		}
-		dl := delays[j]
-		if dl < 1 || dl > e.d {
-			panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", dl, e.d))
-		}
-		if first < 0 {
-			first = dl
-		} else if dl != first {
-			uniform = false
-		}
-	}
-	if uniform {
-		e.wheel.push(wevent{mc: mc, to: -1}, now+first)
+	mc := e.getMC(i, now, payload, int32(kept))
+	if !spread {
+		e.wheel.push(wevent{mc: mc, to: -1}, now+dl)
 	} else {
 		for j := 0; j < p; j++ {
-			if j != i {
+			if j != i && delays[j] != Omitted {
 				e.wheel.push(wevent{mc: mc, to: int32(j)}, now+delays[j])
 			}
 		}
 	}
-	e.finishMulticast(i, now, payload, p-1)
-}
-
-// broadcastOmitting schedules a multicast some of whose copies the
-// adversary omits. Delays are acquired exactly as on the standard paths
-// (uniform query, batched call, or the per-recipient loop — so stateful
-// delay streams stay aligned with the legacy engine), then every kept
-// copy is scheduled as a per-recipient event and every omitted one is
-// dropped: still charged to the sender's message complexity, never put
-// in flight. When every copy is omitted the record is recycled on the
-// spot, handing the payload back to the sender's pool.
-func (e *Engine) broadcastOmitting(i int, now int64, payload any) {
-	p := e.cfg.P
-	delays := e.delays
-	uniform := false
-	if e.uniform != nil {
-		if dl, ok := e.uniform.DelayUniform(i, now); ok {
-			for j := range delays {
-				delays[j] = dl
-			}
-			uniform = true
-		}
+	if filled {
+		// The scratch is zero before every Delays call, so a slot an
+		// adversary leaves unfilled reads 0 and fails the validation.
+		clear(delays)
 	}
-	if !uniform {
-		if e.batched != nil {
-			e.batched.DelayMulticast(i, now, delays)
-		} else {
-			for j := 0; j < p; j++ {
-				if j != i {
-					delays[j] = e.adv.Delay(i, j, now)
-				}
-			}
-		}
-	}
-	mc := e.getMC(i, now, payload, 0)
-	kept := int32(0)
-	for j := 0; j < p; j++ {
-		if j == i {
-			continue
-		}
-		dl := delays[j]
-		if dl < 1 || dl > e.d {
-			panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", dl, e.d))
-		}
-		if e.omitter.Omit(i, j, now) {
-			e.res.Omissions++
-			if e.obs != nil {
-				e.obs.OnOmit(i, j, now)
-			}
-			continue
-		}
-		kept++
-		e.wheel.push(wevent{mc: mc, to: int32(j)}, now+dl)
-	}
-	// Deliveries begin at now+1 at the earliest, so setting the count
-	// after scheduling the events is safe.
-	mc.outstanding = kept
-	e.inflight += int(kept)
+	e.inflight += kept
 	if e.obs != nil {
-		// Every copy is charged, omitted or not (stepMachine staged the
-		// charge).
 		e.obs.OnMulticast(i, now, payload, p-1)
 	}
 	if kept == 0 {
@@ -950,16 +829,6 @@ func (e *Engine) broadcastOmitting(i int, now int64, payload any) {
 		// straight back to the sender's pool (after the hook above, which
 		// may still read it).
 		e.recycleMC(mc)
-	}
-}
-
-// finishMulticast puts a scheduled broadcast's copies in flight and
-// reports it to the observer, for both broadcast scheduling paths. Its
-// message accounting was staged by stepMachine.
-func (e *Engine) finishMulticast(i int, now int64, payload any, recipients int) {
-	e.inflight += recipients
-	if e.obs != nil {
-		e.obs.OnMulticast(i, now, payload, recipients)
 	}
 }
 

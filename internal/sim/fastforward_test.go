@@ -58,7 +58,7 @@ func (a *wakeAdv) Schedule(v *View, dec *Decision) {
 		dec.Active = append(dec.Active, i)
 	}
 }
-func (a *wakeAdv) Delay(from, to int, sentAt int64) int64 { return a.fix }
+func (a *wakeAdv) Delays(from int, sentAt int64, out []int64) int64 { return a.fix }
 
 // TestNextWakeVsDeliveryInstant pins the interaction between the
 // Decision.NextWake fast-forward and wheel.nextDue at the fast-forward

@@ -4,8 +4,8 @@ import "fmt"
 
 // RunLegacy executes machines under the adversary using the original
 // per-message engine: every broadcast is materialized as p-1 separately
-// queued Message values pushed through a delivery min-heap, and the
-// adversary's Delay is consulted once per recipient. It is kept verbatim
+// queued Message values pushed through a delivery min-heap, each copy
+// with the delay read off the adversary's one Delays answer. It is kept verbatim
 // (modulo the shared step/schedule contracts) as the reference
 // implementation for the multicast-native engine (Run): both must produce
 // identical Results for every algorithm × adversary pair. New code should
@@ -21,6 +21,7 @@ func RunLegacy(cfg Config, machines []Machine, adv Adversary) (*Result, error) {
 		machines: machines,
 		adv:      adv,
 		inbox:    make([][]Delivery, cfg.P),
+		delays:   make([]int64, cfg.P),
 		pending:  newDelayQueue(),
 		crashed:  make([]bool, cfg.P),
 		halted:   make([]bool, cfg.P),
@@ -31,7 +32,6 @@ func RunLegacy(cfg Config, machines []Machine, adv Adversary) (*Result, error) {
 			FirstDoneAt: make([]int64, cfg.T),
 		},
 	}
-	s.omitter, _ = adv.(Omitter)
 	for z := range s.res.FirstDoneAt {
 		s.res.FirstDoneAt[z] = -1
 	}
@@ -73,8 +73,8 @@ type legacyState struct {
 	cfg      Config
 	machines []Machine
 	adv      Adversary
-	omitter  Omitter // adv, when it may omit deliveries
 	inbox    [][]Delivery
+	delays   []int64 // Adversary.Delays fill scratch, zero between broadcasts
 	pending  *delayQueue
 	crashed  []bool
 	halted   []bool
@@ -174,29 +174,33 @@ func (s *legacyState) tick(now int64) {
 			}
 		}
 
-		if r.Broadcast != nil {
+		if r.Broadcast != nil && s.cfg.P > 1 {
 			var wireSize int64
 			if sz, ok := r.Broadcast.(Payload); ok {
 				wireSize = int64(sz.WireSize())
 			}
-			if s.cfg.P > 1 {
-				s.res.Multicasts++
+			s.res.Multicasts++
+			d := s.adv.D()
+			uniform := s.adv.Delays(i, now, s.delays)
+			if uniform < 0 || uniform > d {
+				panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", uniform, d))
 			}
 			for j := 0; j < s.cfg.P; j++ {
 				if j == i {
 					continue
 				}
-				delay := s.adv.Delay(i, j, now)
-				if delay < 1 || delay > s.adv.D() {
-					panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", delay, s.adv.D()))
+				delay := uniform
+				if delay == 0 {
+					delay = s.delays[j]
 				}
-				// An omitted copy is charged as sent but never queued (the
-				// delay was still drawn, keeping stateful delay streams
-				// aligned with the multicast engine).
-				if s.omitter == nil || !s.omitter.Omit(i, j, now) {
-					s.pending.push(Message{From: i, To: j, SentAt: now, DeliverAt: now + delay, Payload: r.Broadcast})
-				} else {
+				switch {
+				case delay == Omitted:
+					// Charged as sent but never queued.
 					s.res.Omissions++
+				case delay < 1 || delay > d:
+					panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", delay, d))
+				default:
+					s.pending.push(Message{From: i, To: j, SentAt: now, DeliverAt: now + delay, Payload: r.Broadcast})
 				}
 				s.res.TotalMessages++
 				if !s.res.Solved {
@@ -204,29 +208,7 @@ func (s *legacyState) tick(now int64) {
 					s.res.Bytes += wireSize
 				}
 			}
-		}
-
-		for _, snd := range r.Sends {
-			if snd.To < 0 || snd.To >= s.cfg.P || snd.To == i || snd.Payload == nil {
-				continue
-			}
-			delay := s.adv.Delay(i, snd.To, now)
-			if delay < 1 || delay > s.adv.D() {
-				panic(fmt.Sprintf("sim: adversary delay %d outside [1,%d]", delay, s.adv.D()))
-			}
-			if s.omitter == nil || !s.omitter.Omit(i, snd.To, now) {
-				s.pending.push(Message{From: i, To: snd.To, SentAt: now, DeliverAt: now + delay, Payload: snd.Payload})
-			} else {
-				s.res.Omissions++
-			}
-			s.res.TotalMessages++
-			s.res.Multicasts++
-			if !s.res.Solved {
-				s.res.Messages++
-				if sz, ok := snd.Payload.(Payload); ok {
-					s.res.Bytes += int64(sz.WireSize())
-				}
-			}
+			clear(s.delays)
 		}
 
 		if r.Halt {

@@ -62,9 +62,8 @@ type Observer interface {
 	// OnStep fires after machine pid executed one local step at time now.
 	// r is the step's raw result, valid only for the duration of the call.
 	OnStep(pid int, now int64, r *StepResult)
-	// OnMulticast fires once per broadcast (recipients = p-1) and once per
-	// point-to-point send (recipients = 1), after the message(s) were
-	// scheduled for delivery.
+	// OnMulticast fires once per broadcast (recipients = p-1, omitted
+	// copies included), after the kept copies were scheduled for delivery.
 	OnMulticast(from int, now int64, payload any, recipients int)
 	// OnDeliver fires when a message is delivered to a live recipient,
 	// at the start of its delivery time unit. Messages addressed to

@@ -142,97 +142,3 @@ func TestFuncObserverNilFieldsSafe(t *testing.T) {
 		t.Fatal("Solved hook never fired")
 	}
 }
-
-// gossip is a point-to-point machine: processor i performs tasks i, i+p,
-// … one per step, sends its done count to every other processor with
-// individual Sends, and halts once the counts it knows add up to t. It
-// exercises the engines' Sends paths, which no registered algorithm uses.
-type gossip struct {
-	pid, p, t int
-	next      int
-	known     []int
-}
-
-func newGossip(p, t int) []sim.Machine {
-	ms := make([]sim.Machine, p)
-	for i := range ms {
-		ms[i] = &gossip{pid: i, p: p, t: t, next: i, known: make([]int, p)}
-	}
-	return ms
-}
-
-func (g *gossip) Step(now int64, inbox []sim.Delivery) sim.StepResult {
-	for _, d := range inbox {
-		if n := d.Payload().(int); n > g.known[d.From()] {
-			g.known[d.From()] = n
-		}
-	}
-	var r sim.StepResult
-	if g.next < g.t {
-		r.Perform(g.next)
-		g.next += g.p
-		g.known[g.pid]++
-	}
-	for j := 0; j < g.p; j++ {
-		if j != g.pid {
-			r.Sends = append(r.Sends, sim.Send{To: j, Payload: g.known[g.pid]})
-		}
-	}
-	r.Halt = g.KnowsAllDone()
-	return r
-}
-
-func (g *gossip) KnowsAllDone() bool {
-	sum := 0
-	for _, n := range g.known {
-		sum += n
-	}
-	return sum == g.t
-}
-
-// TestResultCountsPointToPointSends pins the whole-run event counts on
-// the Sends paths, omitted and kept, across the reference engine, the
-// sequential engine (observed and not) and the staged sharded tick.
-func TestResultCountsPointToPointSends(t *testing.T) {
-	const p, tasks, d = 8, 40, 2
-	adv := func() sim.Adversary {
-		return adversary.NewOmitting(
-			adversary.NewRestarting(adversary.NewFair(d), []adversary.RestartEvent{
-				{Pid: 3, CrashAt: 2, ReviveAt: 5},
-			}),
-			[]adversary.OmitWindow{{Pid: 1, From: 0, Until: 4}, {Pid: 6, From: 2, Until: 3}},
-			[]int{0, 2, 5})
-	}
-	cfg := sim.Config{P: p, T: tasks}
-	ref, err := sim.RunLegacy(cfg, newGossip(p, tasks), adv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.Solved || ref.Omissions == 0 || ref.Crashes != 1 || ref.Revivals != 1 {
-		t.Fatalf("scenario does not exercise the counts: %+v", ref)
-	}
-	obs := &countingObserver{}
-	ocfg := cfg
-	ocfg.Observer = obs
-	observed, err := sim.Run(ocfg, newGossip(p, tasks), adv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, observed) {
-		t.Fatalf("observed run diverged from the reference:\nref: %+v\ngot: %+v", ref, observed)
-	}
-	obs.matchResult(t, observed)
-	for _, shards := range []int{1, 2, 4} {
-		scfg := cfg
-		scfg.Shards = shards
-		eng := sim.NewEngine()
-		got, err := eng.Run(scfg, newGossip(p, tasks), adv())
-		eng.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("shards=%d diverged from the reference:\nref: %+v\ngot: %+v", shards, ref, got)
-		}
-	}
-}

@@ -47,9 +47,8 @@ type Message struct {
 }
 
 // Multicast is one broadcast stored once, regardless of recipient count.
-// A broadcast's recipients are every processor but the sender (a
-// point-to-point Send travels in a record of its own with one recipient);
-// they receive Delivery references into the record, so a broadcast costs
+// A broadcast's recipients are every processor but the sender; they
+// receive Delivery references into the record, so a broadcast costs
 // O(1) stored state instead of p-1 message copies. The engine pools Multicast
 // records: once every recipient has consumed (or missed) its delivery the
 // record is recycled, so steady-state broadcasts allocate nothing.
@@ -109,11 +108,6 @@ type StepResult struct {
 	// Broadcast, when non-nil, is a payload multicast to every other
 	// processor (p-1 point-to-point messages).
 	Broadcast any
-	// Sends lists additional point-to-point messages (used by the
-	// message-frugal gossip variants; one message each). A step may use
-	// Sends and Broadcast together, though the standard algorithms use at
-	// most one of them.
-	Sends []Send
 	// Halt indicates the processor voluntarily halts after this step. Per
 	// Proposition 2.1 correct algorithms halt only when they know all
 	// tasks are done; the simulator records but does not forbid early
@@ -131,12 +125,6 @@ func (r *StepResult) PerformedTask() int { return r.performed - 1 }
 // PerformStep returns a StepResult performing task z — the common
 // "perform one task, nothing else" step as a single expression.
 func PerformStep(z int) StepResult { return StepResult{performed: z + 1} }
-
-// Send is a directed point-to-point message produced by a step.
-type Send struct {
-	To      int
-	Payload any
-}
 
 // Payload is the optional interface for wire-size-aware message payloads.
 // Payloads implementing it contribute their encoded size to Result.Bytes;
@@ -389,9 +377,14 @@ func (d *Decision) reset() {
 	d.NextWake = 0
 }
 
+// Omitted marks a copy of a broadcast the network drops (see
+// Adversary.Delays). It is not 0, so an adversary that forgets to fill a
+// slot still trips the engines' delay validation.
+const Omitted int64 = -1
+
 // Adversary controls asynchrony: per-unit scheduling, crashes, and message
-// delays. Implementations must respect the d-adversary contract: Delay
-// must return a value in [1, D()].
+// delays. Implementations must respect the d-adversary contract: every
+// delay lies in [1, D()].
 type Adversary interface {
 	// D returns the message-delay bound d ≥ 1 this adversary honors.
 	D() int64
@@ -403,58 +396,26 @@ type Adversary interface {
 	// forward the same dec to their inner adversary and then edit it in
 	// place.
 	Schedule(v *View, dec *Decision)
-	// Delay returns the delivery delay (in global time units, ≥ 1 and
-	// ≤ D()) for a message from processor `from` to `to` sent at `sentAt`.
-	Delay(from, to int, sentAt int64) int64
-}
-
-// MulticastDelayer is an optional Adversary extension that assigns the
-// delays of a whole multicast in one call, so a broadcast costs the
-// adversary one invocation instead of p-1. Implementations fill
-// out[j] ∈ [1, D()] for every recipient j != from (out has length p;
-// out[from] is ignored). Adversaries that draw delays from a random
-// stream must consume it in ascending recipient order, matching the
-// per-recipient Delay loop, so that both engine paths see identical
-// delay sequences. Adversaries that do not implement the interface are
-// adapted automatically: the engine falls back to one Delay call per
-// recipient.
-type MulticastDelayer interface {
-	DelayMulticast(from int, sentAt int64, out []int64)
-}
-
-// UniformDelayer is an optional Adversary extension for adversaries whose
-// multicast delays never depend on the recipient: DelayUniform returns
-// the delay shared by every recipient of a multicast from `from` at
-// `sentAt`, with ok = true. The engine then schedules the whole broadcast
-// as one wheel event without materializing (or validating) p-1
-// per-recipient delays — the last O(p) term on the broadcast hot path.
-// Implementations must satisfy DelayUniform(from, t) == (Delay(from, j,
-// t), true) for every j (asserted by the adversary contract tests).
-// Combinators whose uniformity depends on the wrapped adversary return
-// ok = false when the inner adversary's delays are recipient-dependent,
-// and the engine falls back to the per-recipient path.
-type UniformDelayer interface {
-	DelayUniform(from int, sentAt int64) (delay int64, ok bool)
-}
-
-// Omitter is an optional Adversary extension modeling message-omission
-// faults: individual copies of a multicast are dropped by the network and
-// never delivered, while the send is still charged to the sender's
-// message complexity (omission is a network fault, not a refund). Both
-// methods must be pure functions of their arguments — the engines consult
-// them on different schedules (the multicast engine asks OmitsAt once per
-// broadcast and Omit only per recipient of an omitting one; the legacy
-// engine and the runtime ask Omit per recipient unconditionally), so
-// stateful implementations would diverge across substrates.
-type Omitter interface {
-	// OmitsAt reports whether any copy of a multicast sent by `from` at
-	// `sentAt` may be omitted. A false return lets the engine keep its
-	// uniform single-event broadcast fast path for that send.
-	OmitsAt(from int, sentAt int64) bool
-	// Omit reports whether the copy addressed to `to` is dropped.
-	// Dropping a strict subset of the recipients models
-	// deliver-to-subset omission.
-	Omit(from, to int, sentAt int64) bool
+	// Delays answers one broadcast by `from` at `sentAt` (the paper's
+	// d-adversary choosing a delay for each copy). When every copy shares
+	// one delay and none is dropped it returns that delay, in [1, D()],
+	// and leaves out untouched: the engine schedules the whole broadcast
+	// as one event. Otherwise it returns 0 and fills out[j] for every
+	// recipient j != from (out has length P; out[from] is ignored) with a
+	// delay in [1, D()] or with Omitted — a message-omission fault: the
+	// copy is charged to the sender's message complexity but never
+	// delivered. An adversary with a per-recipient rule fills the slots:
+	//
+	//	for j := range out {
+	//		if j != from {
+	//			out[j] = delay(from, j, sentAt)
+	//		}
+	//	}
+	//	return 0
+	//
+	// Both engines call Delays exactly once per broadcast, so stateful
+	// adversaries (random delay streams) replay identically across them.
+	Delays(from int, sentAt int64, out []int64) (uniform int64)
 }
 
 // Result aggregates the complexity measures of one execution.
@@ -475,8 +436,8 @@ type Result struct {
 	// execution (until every processor halted or crashed, or the cap).
 	TotalSteps, TotalMessages int64
 	// Multicasts, Crashes, Revivals and Omissions count the execution's
-	// whole-run events: sends (one per broadcast, one per point-to-point
-	// send; TotalMessages is their summed recipient count), adversary
+	// whole-run events: broadcasts (TotalMessages is their summed
+	// recipient count), adversary
 	// crashes of processors not already down, crash-restart revivals, and
 	// message copies the network dropped (charged in TotalMessages, never
 	// delivered). They are exactly the totals of the matching Observer
@@ -546,7 +507,7 @@ type Config struct {
 	// Shards enables the intra-run parallel tick engine: each time unit's
 	// live-processor schedule is split into Shards contiguous ranges whose
 	// Machine.Step calls run on worker goroutines, followed by a serial
-	// reduction in schedule order that applies broadcasts, sends, ledger
+	// reduction in schedule order that applies broadcasts, ledger
 	// updates, and accounting. Results are byte-identical at every shard
 	// count (asserted by the equivalence tests); only wall-clock time
 	// changes. Values ≤ 1 select the sequential engine; values above P are

@@ -61,7 +61,7 @@ func (a *fixedAdv) Schedule(v *View, dec *Decision) {
 		dec.Active = append(dec.Active, i)
 	}
 }
-func (a *fixedAdv) Delay(from, to int, sentAt int64) int64 { return a.fix }
+func (a *fixedAdv) Delays(from int, sentAt int64, out []int64) int64 { return a.fix }
 
 func TestSingleProcessorSolves(t *testing.T) {
 	ms := []Machine{newSeqMachine(5)}
@@ -239,14 +239,70 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestBadDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for delay outside [1,d]")
+// badAdv answers every broadcast with the uniform delay uniform, or, when
+// fill is set, with a fill whose last recipient slot holds bad and every
+// other slot a valid delay of 1.
+type badAdv struct {
+	uniform, bad int64
+	fill         bool
+}
+
+func (a *badAdv) D() int64 { return 2 }
+func (a *badAdv) Schedule(v *View, dec *Decision) {
+	for i := 0; i < v.P; i++ {
+		dec.Active = append(dec.Active, i)
+	}
+}
+func (a *badAdv) Delays(from int, sentAt int64, out []int64) int64 {
+	if !a.fill {
+		return a.uniform
+	}
+	last := len(out) - 1
+	if from == last {
+		last--
+	}
+	for j := range out {
+		if j != from {
+			out[j] = 1
 		}
-	}()
-	ms := []Machine{newSeqMachine(2), newSeqMachine(2)}
-	_, _ = Run(Config{P: 2, T: 2}, ms, &fixedAdv{d: 1, fix: 0})
+	}
+	out[last] = a.bad
+	return 0
+}
+
+// TestBadDelayPanics checks that both engines reject every answer outside
+// the contract — a uniform return or a filled slot that is neither a
+// delay in [1, d] nor (for a slot) the Omitted marker.
+func TestBadDelayPanics(t *testing.T) {
+	engines := []struct {
+		name string
+		run  func(Config, []Machine, Adversary) (*Result, error)
+	}{{"Run", Run}, {"RunLegacy", RunLegacy}}
+	advs := []struct {
+		name string
+		adv  badAdv
+	}{
+		{"uniform 0 without a fill", badAdv{uniform: 0}},
+		{"uniform d+1", badAdv{uniform: 3}},
+		{"uniform Omitted", badAdv{uniform: Omitted}},
+		{"slot 0", badAdv{fill: true, bad: 0}},
+		{"slot d+1", badAdv{fill: true, bad: 3}},
+		{"slot -2", badAdv{fill: true, bad: -2}},
+	}
+	for _, e := range engines {
+		for _, a := range advs {
+			t.Run(e.name+"/"+a.name, func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("expected panic for delay outside [1,d]")
+					}
+				}()
+				adv := a.adv
+				ms := []Machine{newSeqMachine(2), newSeqMachine(2), newSeqMachine(2)}
+				_, _ = e.run(Config{P: 3, T: 2}, ms, &adv)
+			})
+		}
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
