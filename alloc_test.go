@@ -159,10 +159,11 @@ func TestZeroSteadyStateAllocsPA1024(t *testing.T) {
 // TestZeroSteadyStateAllocsSharded1024 gates the parallel tick engine: a
 // sharded run at p=1024 must hit the same zero-allocation steady state as
 // the sequential one. The shard machinery is pre-grown in reset (worker
-// goroutines are launched once and parked on their wake channels; scratch,
-// shadow-batch, and per-step result slices are reused), so once warmed,
-// a whole re-run — wake sends, WaitGroup handoffs, shadow seeding, and the
-// phase-B replay included — allocates exactly nothing per worker shard.
+// goroutines are launched once and parked on their wake channels; scratch
+// and per-step result slices are reused), so once warmed, a whole re-run
+// — wake sends, WaitGroup handoffs, the engine's serial cache builds, and
+// the phase-B replay included — allocates exactly nothing per worker
+// shard.
 func TestZeroSteadyStateAllocsSharded1024(t *testing.T) {
 	const p, tasks = 1024, 4096
 	for _, shards := range []int{2, 4} {

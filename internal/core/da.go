@@ -211,38 +211,24 @@ func (m *DA) merge(inbox []sim.Delivery) {
 // mergeBatch folds one shared delivery group into the replica; see
 // PA.mergeBatch for the cache protocol.
 func (m *DA) mergeBatch(b *sim.Batch) {
-	if kc, ok := b.Combined.(*knowledgeCombined); ok {
-		if kc.n == m.tree.Size() {
-			m.applyCombined(kc)
-		} else {
-			m.mergeBatchEager(b)
-		}
+	if kc, ok := b.Combined.(*knowledgeCombined); ok && kc.n == m.tree.Size() {
+		m.applyCombined(kc)
 		return
 	}
-	if b.Combined != nil {
-		m.mergeBatchEager(b)
-		return
-	}
-	if !m.BuildCombined(b) {
-		m.mergeBatchEager(b)
-		return
-	}
-	m.applyCombined(b.Combined.(*knowledgeCombined))
+	m.mergeBatchEager(b)
 }
 
 // BuildCombined implements sim.BatchConsumer; see PA.BuildCombined.
 // The accumulation reads only the merge cursors and the batch's
-// immutable tree snapshots — never the replica — so building ahead of
-// the step and applying at the step is state-for-state identical to the
-// sequential in-step build (closure propagation happens at apply time in
-// both flows).
-func (m *DA) BuildCombined(b *sim.Batch) bool {
+// immutable tree snapshots — never the replica — and closure
+// propagation happens when the step applies the cache.
+func (m *DA) BuildCombined(b *sim.Batch) any {
 	kc := m.comb.get(m.tree.Size())
 	for _, mc := range b.MCs {
 		ts, ok := mc.Payload.(TreeSnapshot)
 		if !ok || ts.S.Len() != m.tree.Size() {
 			m.comb.put(kc)
-			return false
+			return nil
 		}
 		var dense bool
 		kc.idxs, dense = m.mg.AccumulateInto(kc.bits, mc.From, ts.S, kc.idxs)
@@ -254,8 +240,7 @@ func (m *DA) BuildCombined(b *sim.Batch) bool {
 	if 2*len(kc.idxs) >= len(kc.bits.Words()) {
 		kc.dense = true
 	}
-	b.Combined, b.Builder = kc, int32(m.pid)
-	return true
+	return kc
 }
 
 func (m *DA) applyCombined(kc *knowledgeCombined) {

@@ -308,45 +308,31 @@ func (m *PA) mergeInbox(inbox []sim.Delivery) {
 }
 
 // mergeBatch folds one shared delivery group into the done-set: apply the
-// published combined knowledge if compatible, build and publish it if
-// absent, and fall back to per-sender merges otherwise.
+// published combined knowledge if compatible, else merge per sender (no
+// cache, or a cache another machine kind or shape built).
 func (m *PA) mergeBatch(b *sim.Batch) {
-	if kc, ok := b.Combined.(*knowledgeCombined); ok {
-		if kc.n == m.done.Len() {
-			m.applyCombined(kc)
-		} else {
-			m.mergeBatchEager(b)
-		}
+	if kc, ok := b.Combined.(*knowledgeCombined); ok && kc.n == m.done.Len() {
+		m.applyCombined(kc)
 		return
 	}
-	if b.Combined != nil {
-		// A foreign cache type: another machine kind built it.
-		m.mergeBatchEager(b)
-		return
-	}
-	if !m.BuildCombined(b) {
-		m.mergeBatchEager(b)
-		return
-	}
-	m.applyCombined(b.Combined.(*knowledgeCombined))
+	m.mergeBatchEager(b)
 }
 
 // BuildCombined implements sim.BatchConsumer: it accumulates the
 // batch's unseen knowledge (per this machine's merge cursors) into a
-// pooled combined cache, advances the cursors, and publishes the cache —
-// the build half of mergeBatch, without the apply. The parallel engine
-// calls it ahead of the machine's own step, which then consumes the
-// batch through the published cache like any later consumer; because
-// the accumulation never reads the done-set and the apply never moves
-// the cursors, the split build+apply is state-for-state identical to
-// the sequential in-step build.
-func (m *PA) BuildCombined(b *sim.Batch) bool {
+// pooled combined cache, advances the cursors, and returns the cache for
+// the engine to publish, or nil if a payload is not a same-shape DoneSet.
+// The engine calls it ahead of the machine's own step, which then
+// consumes the batch through the published cache like any later
+// consumer; the accumulation never reads the done-set and the apply
+// never moves the cursors.
+func (m *PA) BuildCombined(b *sim.Batch) any {
 	kc := m.comb.get(m.done.Len())
 	for _, mc := range b.MCs {
 		ds, ok := mc.Payload.(DoneSet)
 		if !ok || ds.S.Len() != m.done.Len() {
 			m.comb.put(kc)
-			return false
+			return nil
 		}
 		var dense bool
 		kc.idxs, dense = m.mg.AccumulateInto(kc.bits, mc.From, ds.S, kc.idxs)
@@ -360,8 +346,7 @@ func (m *PA) BuildCombined(b *sim.Batch) bool {
 	if 2*len(kc.idxs) >= len(kc.bits.Words()) {
 		kc.dense = true // full-width union is cheaper than the index list
 	}
-	b.Combined, b.Builder = kc, int32(m.pid)
-	return true
+	return kc
 }
 
 func (m *PA) applyCombined(kc *knowledgeCombined) {

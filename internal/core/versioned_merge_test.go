@@ -74,7 +74,7 @@ func shuffleDropPlan(rng *rand.Rand, n int) []int {
 }
 
 // TestQuickDoneSetMergeMatchesNaive drives PA's actual merge paths
-// (mergeInbox and the batched mergeBatch protocol) on a merge-only
+// (mergeInbox, and BuildCombined then mergeBatch) on a merge-only
 // observer and compares, after every delivery, against the naive
 // reference: materialize each DoneSet fully and union it in. The
 // remain counter must match the naive added-bit count, too.
@@ -101,6 +101,9 @@ func TestQuickDoneSetMergeMatchesNaive(t *testing.T) {
 			eager.mergeInbox([]sim.Delivery{{MC: mc}})
 
 			b := &sim.Batch{MCs: []*sim.Multicast{mc}, Builder: -1}
+			if kc := batched.BuildCombined(b); kc != nil {
+				b = &sim.Batch{MCs: b.MCs, Combined: kc, Builder: int32(p)}
+			}
 			batched.mergeBatch(b)
 
 			ds.S.Materialize(scratch)
@@ -161,6 +164,9 @@ func TestQuickTreeSnapshotMergeMatchesNaive(t *testing.T) {
 			eager.merge([]sim.Delivery{{MC: mc}})
 
 			b := &sim.Batch{MCs: []*sim.Multicast{mc}, Builder: -1}
+			if kc := batched.BuildCombined(b); kc != nil {
+				b = &sim.Batch{MCs: b.MCs, Combined: kc, Builder: int32(p)}
+			}
 			batched.mergeBatch(b)
 
 			ts.S.Materialize(scratch)

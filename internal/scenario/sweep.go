@@ -64,7 +64,8 @@ type SweepConfig struct {
 	// TickPhase, when non-nil, receives the summed parallel-tick phase
 	// profile (sim.Engine.PhaseProfile) of every worker engine once the
 	// sweep returns: how the sharded cells' wall-clock split across the
-	// serial prefix (A1), the parallel shard stepping (A2), and the
+	// serial prefix (A1: schedule filter and the engine's combined-cache
+	// builds), the parallel shard stepping (A2), and the
 	// serial reduction tail (B). Zero for fully sequential sweeps.
 	TickPhase *sim.TickPhaseProfile
 	// Progress, when non-nil, is invoked after every completed cell with

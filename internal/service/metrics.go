@@ -183,7 +183,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	p("# HELP doalld_shard_threads_inflight Tick-shard goroutines across busy engines (resolved intra-run shards summed; CPU occupancy under sharding).\n# TYPE doalld_shard_threads_inflight gauge\n")
 	p("doalld_shard_threads_inflight %d\n", m.shardsInflight.Load())
 
-	p("# HELP doalld_tick_phase_seconds Wall-clock seconds the fleet's parallel tick engines spent per phase: a1 = serial prefix (schedule filter, cache-build plan and fan-out, shadow seeding), a2 = parallel shard stepping, b = serial tail (staged-reduction merge plus ordered residue).\n# TYPE doalld_tick_phase_seconds counter\n")
+	p("# HELP doalld_tick_phase_seconds Wall-clock seconds the fleet's parallel tick engines spent per phase: a1 = serial prefix (schedule filter, serial cache builds by the engine), a2 = parallel shard stepping, b = serial tail (staged-reduction merge plus ordered residue).\n# TYPE doalld_tick_phase_seconds counter\n")
 	p("doalld_tick_phase_seconds{phase=\"a1\"} %.6f\n", float64(c.phaseA1Ns.Load())/1e9)
 	p("doalld_tick_phase_seconds{phase=\"a2\"} %.6f\n", float64(c.phaseA2Ns.Load())/1e9)
 	p("doalld_tick_phase_seconds{phase=\"b\"} %.6f\n", float64(c.phaseBNs.Load())/1e9)

@@ -102,9 +102,11 @@ type countingConsumer struct {
 	skippedOwn   int
 }
 
+var _ BatchConsumer = (*countingConsumer)(nil)
+
 // BuildCombined implements BatchConsumer: the consumer keeps no shared
 // knowledge cache.
-func (m *countingConsumer) BuildCombined(*Batch) bool { return false }
+func (m *countingConsumer) BuildCombined(*Batch) any { return nil }
 
 func (m *countingConsumer) StepBatched(now int64, batches []*Batch, tail []Delivery) StepResult {
 	m.batchedCalls++

@@ -16,8 +16,11 @@ import (
 // shape should hold one Engine and call its Run method instead: the
 // engine's wheel buckets, inboxes, result arrays, and multicast pool then
 // carry over from trial to trial and steady-state runs allocate nothing.
+// Run closes its engine, so a sharded run leaves no worker behind.
 func Run(cfg Config, machines []Machine, adv Adversary) (*Result, error) {
-	return NewEngine().Run(cfg, machines, adv)
+	e := NewEngine()
+	defer e.Close()
+	return e.Run(cfg, machines, adv)
 }
 
 // Engine is a reusable multicast-native simulation engine: one broadcast
@@ -95,7 +98,7 @@ type Engine struct {
 	// staged accounting every tick reduces into (the sequential tick uses
 	// block 0), and the parked worker goroutines' wake channels;
 	// stepList/parRes are a parallel tick's schedule and captured step
-	// results.
+	// results; parNb is its pending-batch count.
 	shards   int
 	shard    []shardBlock
 	stepList []int32
@@ -104,17 +107,8 @@ type Engine struct {
 	parNow   int64
 	parN     int
 	parNsh   int
-	launched int // worker goroutines running (shards 1..launched)
-
-	// Parallel phase-A1 state (see parallel.go). builds is the per-tick
-	// cache-construction plan (the prefix-minima builders and their batch
-	// ranges); parBuild switches the parked workers from stepping to cache
-	// building; parNb/parNbld are the tick's pending-batch and
-	// build-worker counts.
-	builds   []buildJob
-	parBuild bool
 	parNb    int
-	parNbld  int
+	launched int // worker goroutines running (shards 1..launched)
 
 	// Parallel tick phase profile: accumulated wall-clock nanoseconds of
 	// phases A1/A2/B and the number of parallel ticks profiled, monotone
@@ -488,6 +482,47 @@ func (e *Engine) pending(i int) []*Batch {
 	return e.ringBuf[e.ringHead+int(cur-e.ringSeq0):]
 }
 
+// uncached counts the pending batches that have no combined cache yet.
+func (e *Engine) uncached() int {
+	n := 0
+	for _, b := range e.ringBuf[e.ringHead:] {
+		if b.Combined == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// buildCaches publishes the combined caches this tick's steps will read.
+// Walking the schedule in order, it asks each scheduled BatchConsumer to
+// build a cache for every one of its pending batches that has none yet,
+// oldest first (the builds advance the machine's merge cursors batch by
+// batch), and stops once no pending batch lacks one. The first consumer
+// that can combine a batch builds its cache; a batch a machine cannot
+// combine stays cache-less for the next one. Both ticks call it before
+// any step, so no step writes a Batch and every machine meets the same
+// caches whatever the shard count.
+func (e *Engine) buildCaches() {
+	left := e.uncached()
+	for _, i := range e.dec.Active {
+		if left == 0 {
+			return
+		}
+		if i < 0 || i >= e.cfg.P || e.crashed[i] || e.halted[i] || e.batchers[i] == nil {
+			continue
+		}
+		for _, b := range e.pending(i) {
+			if b.Combined != nil {
+				continue
+			}
+			if c := e.batchers[i].BuildCombined(b); c != nil {
+				b.Combined, b.Builder = c, int32(i)
+				left--
+			}
+		}
+	}
+}
+
 // pendingInbox implements View.Inbox: processor i's pending batches
 // materialized with its per-recipient deliveries, exactly the inbox a
 // plain Machine's next step receives. Crashed and halted processors
@@ -545,11 +580,10 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 // writes only sb and the stepping processor's own cursor and PerProcWork
 // entry. That is what makes the parallel tick possible: concurrent calls
 // for distinct machines are data-race-free because a step reads only the
-// machine's own state, immutable snapshots/batches, and published
-// combined caches (built before the parallel phase; see tickPar).
+// machine's own state, immutable snapshots/batches, and combined caches
+// the engine published before the step (buildCaches).
 //
-// BatchConsumer machines read the real ring in the sequential tick and
-// their shard's shadow batches in a parallel one (sb.nshadow > 0); other
+// BatchConsumer machines read the ring's batches directly; other
 // machines get their batches materialized into sb's scratch.
 //
 //   - Result.Solved is constant within a tick, so the conditional work and
@@ -570,10 +604,6 @@ func (e *Engine) stepMachine(i int, now int64, sb *shardBlock, r *StepResult) {
 	case len(pend) == 0:
 		*r = e.machines[i].Step(now, inbox)
 	case bc != nil:
-		if sb.nshadow > 0 {
-			// The shard's shadows of the same pending batches.
-			pend = sb.shadow[sb.nshadow-len(pend) : sb.nshadow]
-		}
 		*r = bc.StepBatched(now, pend, inbox)
 	default:
 		var sc []Delivery
@@ -719,8 +749,9 @@ func (e *Engine) tick(now int64) {
 
 	// 3. Execute the scheduled local steps, in parallel shards when
 	// configured (and the tick qualifies), sequentially otherwise. Both
-	// are stepMachine + finishStep per scheduled processor, with the
-	// staged blocks merged once per tick, so they cannot diverge.
+	// are buildCaches, then stepMachine + finishStep per scheduled
+	// processor, with the staged blocks merged once per tick, so they
+	// cannot diverge.
 	informed := false
 	ranPar := false
 	if e.shards > 1 {
@@ -731,6 +762,7 @@ func (e *Engine) tick(now int64) {
 		sb := &e.shard[0]
 		sb.begin(nb)
 		var r StepResult
+		e.buildCaches()
 		for _, i := range dec.Active {
 			if i < 0 || i >= e.cfg.P || e.crashed[i] || e.halted[i] {
 				continue

@@ -4,8 +4,8 @@ import "time"
 
 // TickPhaseProfile is the accumulated wall-clock breakdown of the
 // parallel tick engine's three phases (see parallel.go): A1 is the
-// serial prefix (schedule filtering, the cache-build plan and its
-// fan-out, shadow seeding), A2 the parallel shard stepping, and B the
+// serial prefix (schedule filtering and the engine's serial combined-
+// cache builds), A2 the parallel shard stepping, and B the
 // serial tail (staged-reduction merge plus the order-dependent residue).
 // Ticks counts the parallel ticks profiled;
 // sequential-fallback ticks contribute nothing. The profile is monotone

@@ -5,27 +5,20 @@ import "time"
 // The intra-run parallel tick engine (Config.Shards > 1). One time unit's
 // scheduled steps are executed by worker goroutines in three phases:
 //
-//  A1 (serial plan, parallel builds): the processors the sequential tick
-//      would hand each pending batch to first — the strictly-decreasing
-//      prefix minima of the consumers' batch cursors in schedule order —
-//      are identified serially, then their combined-knowledge caches are
-//      built concurrently: each builder machine's BatchConsumer.
-//      BuildCombined constructs and publishes the caches for exactly its
-//      batch range, from exactly the cursor state the sequential tick
-//      would use, without stepping. A prefix minimum that is not a
-//      BatchConsumer builds no cache when it steps, so it gets no job.
-//      The builders' full steps (selector search, task execution) run in
-//      phase A2 with everyone else's.
+//  A1 (serial cache builds by the engine): buildCaches walks the
+//      schedule and publishes the combined-knowledge cache of every
+//      pending batch some scheduled consumer can combine, built by the
+//      first such consumer — the same call the sequential tick makes
+//      before its steps, so every machine is asked for the same builds
+//      and later meets the same caches. No machine step writes a Batch,
+//      so the ring is read-only from here to the end of the tick.
 //  A2 (parallel): the schedule is split into contiguous shards; each
-//      shard's machines step concurrently against shard-private shadow
-//      views of the ring (sharing the immutable multicast lists and the
-//      phase-A1 combined caches), so a machine that would build a cache
-//      in this phase publishes into its shard's shadow, never into a
-//      structure another shard reads. Each shard also stages its steps'
-//      commutative accounting (stepMachine) — step/work counters,
-//      task-execution classification, message and byte charges, batch
-//      cursor advancement and consumption counts — into its own
-//      cache-line-padded block.
+//      shard's machines step concurrently against the shared ring (the
+//      immutable multicast lists and the phase-A1 combined caches). Each
+//      shard also stages its steps' commutative accounting (stepMachine)
+//      — step/work counters, task-execution classification, message and
+//      byte charges, batch cursor advancement and consumption counts —
+//      into its own cache-line-padded block.
 //  B (serial): the blocks are merged in one O(shards) pass (mergeBlocks,
 //      which the sequential tick also ends with), then the order-dependent
 //      rest of every step (finishStep) runs in schedule order — observer
@@ -38,17 +31,16 @@ import "time"
 // Byte-identity argument, in brief: steps within one time unit are
 // input-independent (messages sent at time τ deliver at τ+1 at the
 // earliest), a step reads only its machine's private state plus immutable
-// snapshots and published caches, phase A1 pins cache construction to the
-// sequential builders and cursor states (BuildCombined reads only the
-// merge cursors, never the working state, so build-ahead + apply-at-step
-// equals the sequential in-step build-and-apply), the staged accounting
-// is commutative across the tick's steps (Result.Solved is constant
-// within a tick, a task's primary/secondary class depends only on whether
-// an earlier time unit performed it, and message charges are
-// omission-independent), and phase B replays every remaining
-// shared-state mutation in schedule order. The equivalence matrix in
-// internal/scenario asserts the identity across all algorithms, fault
-// adversaries, and shard counts.
+// snapshots and published caches, both ticks publish every cache before
+// the first step (BuildCombined reads only the builder's merge cursors
+// and the batch's immutable payloads, and a machine's cursors move only
+// in its own builds and step), the staged accounting is commutative
+// across the tick's steps (Result.Solved is constant within a tick, a
+// task's primary/secondary class depends only on whether an earlier time
+// unit performed it, and message charges are omission-independent), and
+// phase B replays every remaining shared-state mutation in schedule
+// order. The equivalence matrix in internal/scenario asserts the identity
+// across all algorithms, fault adversaries, and shard counts.
 //
 // Ticks that cannot be proven safe fall back to the sequential loop for
 // that unit: a schedule that is not strictly increasing (no registered
@@ -56,17 +48,14 @@ import "time"
 // fewer than two runnable machines.
 
 // shardBlock is one shard's private scratch: the worker's wake channel,
-// materialization scratch for non-BatchConsumer machines, the shadow
-// ring views, and the staged accounting counters. The leading
-// and trailing pads keep neighboring blocks in the engine's shard slice
-// from sharing cache lines, so concurrent counter writes never
-// false-share.
+// materialization scratch for non-BatchConsumer machines, and the staged
+// accounting counters. The leading and trailing pads keep neighboring
+// blocks in the engine's shard slice from sharing cache lines, so
+// concurrent counter writes never false-share.
 type shardBlock struct {
 	_       [64]byte
 	wake    chan struct{} // nil until the shard's worker is launched (shard 0 has none)
 	scratch []Delivery
-	shadow  []*Batch
-	nshadow int
 
 	// Staged accounting, reset at the start of each tick (begin): step and
 	// message accounting for the shard's schedule range, and consumed[o] =
@@ -82,15 +71,6 @@ type shardBlock struct {
 	secondary int64
 	consumed  []int32
 	_         [64]byte
-}
-
-// buildJob is one phase-A1 cache-construction assignment: machine pid (a
-// prefix-minimum consumer) builds the pending batches in ring-offset
-// range [lo, hi) — the batches the sequential tick would hand it first.
-type buildJob struct {
-	pid int32
-	lo  int32
-	hi  int32
 }
 
 // begin resets the block's staged accounting for a tick with nb pending
@@ -166,28 +146,22 @@ func (e *Engine) ensureShards(nsh int) {
 	}
 }
 
-// shardWorker is one parked worker: each wake runs either its share of
-// the tick's cache builds (phase A1, e.parBuild) or its shard's slice of
+// shardWorker is one parked worker: each wake runs its shard's slice of
 // the schedule (phase A2). The wake send happens-before the worker's
-// reads of the tick state (including parBuild), and the worker's result
-// writes happen-before the engine's parDone.Wait return.
+// reads of the tick state, and the worker's result writes happen-before
+// the engine's parDone.Wait return.
 func (e *Engine) shardWorker(s int, wake <-chan struct{}) {
 	for range wake {
-		if e.parBuild {
-			e.runBuilds(s)
-		} else {
-			e.runShard(s)
-		}
+		e.runShard(s)
 		e.parDone.Done()
 	}
 }
 
 // Close stops the engine's parked shard workers. The engine stays
-// usable — the next parallel run relaunches them — so Close is only
-// needed when discarding many sharded engines (tests, short-lived
-// fleets); an engine dropped without Close parks its workers until the
-// engine (and with it the channels) is collected, at which point they
-// are unreachable and the runtime reclaims them only at process exit.
+// usable — the next parallel run relaunches them. A parked worker keeps
+// its engine reachable, so a sharded engine dropped without Close keeps
+// its workers and every buffer it holds until process exit; the
+// package-level Run closes the engine it builds.
 func (e *Engine) Close() {
 	for s := 1; s <= e.launched && s < len(e.shard); s++ {
 		if e.shard[s].wake != nil {
@@ -213,29 +187,6 @@ func shardRange(n, nsh, s int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// runBuilds executes build worker s's share of the tick's buildJob plan:
-// each job's machine constructs and publishes the combined caches for
-// its batch range, oldest first (the within-range order matters — the
-// machine's merge cursors advance batch by batch). Jobs touch disjoint
-// batches and distinct machines, so concurrent builds share nothing but
-// the immutable multicast lists.
-func (e *Engine) runBuilds(s int) {
-	lo, hi := shardRange(len(e.builds), e.parNbld, s)
-	for _, bj := range e.builds[lo:hi] {
-		cb := e.batchers[bj.pid]
-		for off := bj.lo; off < bj.hi; off++ {
-			b := e.ringBuf[e.ringHead+int(off)]
-			if b.Combined == nil {
-				// A failed build (payload-heterogeneous batch) stays
-				// cache-less; machine-side eager fallbacks keep results
-				// identical, exactly as on the sequential engine (the
-				// failure is machine-independent).
-				cb.BuildCombined(b)
-			}
-		}
-	}
 }
 
 // runShard steps every machine in shard s's range of the current tick's
@@ -292,77 +243,9 @@ func (e *Engine) tickPar(now int64) (int, bool, bool) {
 	}
 	e.parRes = e.parRes[:n]
 
+	// Phase A1: publish the combined caches this tick's steps will read.
+	e.buildCaches()
 	nb := int(e.batchSeq - e.ringSeq0)
-	e.builds = e.builds[:0]
-	if nb > 0 {
-		// Phase A1: plan the cache builds. The first consumer of pending
-		// batch b is the first scheduled machine whose cursor is ≤ b's
-		// sequence, so the set of first consumers over all pending batches
-		// is exactly the strictly-decreasing prefix minima of the cursors,
-		// and each minimum's build range is [its cursor, previous minimum).
-		// A minimum that is not a BatchConsumer builds nothing in its step
-		// either, so it gets no job.
-		minCur := e.batchSeq
-		for _, pid := range sl {
-			cur := max(e.cursor[pid], e.ringSeq0)
-			if cur < minCur {
-				if e.batchers[pid] != nil {
-					e.builds = append(e.builds, buildJob{
-						pid: pid,
-						lo:  int32(cur - e.ringSeq0),
-						hi:  int32(minCur - e.ringSeq0),
-					})
-				}
-				minCur = cur
-			}
-		}
-		if len(e.builds) > 0 {
-			// Fan the builds out across the parked workers, one or more
-			// whole builders per worker (a builder's own range is
-			// order-dependent through its merge cursors and cannot split).
-			nbld := nsh
-			if nbld > len(e.builds) {
-				nbld = len(e.builds)
-			}
-			e.parNbld = nbld
-			if nbld < 2 {
-				e.runBuilds(0)
-			} else {
-				e.parBuild = true
-				e.parDone.Add(nbld - 1)
-				for s := 1; s < nbld; s++ {
-					e.shard[s].wake <- struct{}{}
-				}
-				e.runBuilds(0)
-				e.parDone.Wait()
-				e.parBuild = false
-			}
-		}
-		// Seed every shard's shadow ring: same delivery times, the same
-		// immutable multicast lists, and the combined caches as published
-		// by phase A1 (and previous ticks). A shard machine that still
-		// finds a batch cache-less (payload-heterogeneous groups only)
-		// builds into its shard's shadow, invisible to other shards.
-		for s := 0; s < nsh; s++ {
-			sb := &e.shard[s]
-			for len(sb.shadow) < nb {
-				sb.shadow = append(sb.shadow, &Batch{Builder: -1})
-			}
-			for k := 0; k < nb; k++ {
-				rb := e.ringBuf[e.ringHead+k]
-				shb := sb.shadow[k]
-				shb.At = rb.At
-				shb.MCs = rb.MCs
-				shb.Combined = rb.Combined
-				shb.Builder = rb.Builder
-			}
-			sb.nshadow = nb
-		}
-	} else {
-		for s := 0; s < nsh; s++ {
-			e.shard[s].nshadow = 0
-		}
-	}
 
 	// Phase A2: fan the schedule out across the shards. The engine's
 	// goroutine runs shard 0 itself.
@@ -384,25 +267,6 @@ func (e *Engine) tickPar(now int64) (int, bool, bool) {
 		e.finishStep(int(pid), now, &e.parRes[k], &informed)
 	}
 
-	// Reclaim shard-built shadow caches (the real batch kept the phase-A1
-	// cache, so a differing shadow cache is a duplicate owned by its
-	// builder) and drop the shadows' references so retired multicasts and
-	// caches do not outlive the tick through shard scratch.
-	for s := 0; s < nsh; s++ {
-		sb := &e.shard[s]
-		for k := 0; k < sb.nshadow; k++ {
-			shb := sb.shadow[k]
-			if shb.Combined != nil && shb.Combined != e.ringBuf[e.ringHead+k].Combined {
-				if rc := e.recyclers[shb.Builder]; rc != nil {
-					rc.RecyclePayload(shb.Combined)
-				}
-			}
-			shb.MCs = nil
-			shb.Combined = nil
-			shb.Builder = -1
-		}
-		sb.nshadow = 0
-	}
 	e.phaseNs[0] += int64(t1.Sub(t0))
 	e.phaseNs[1] += int64(t2.Sub(t1))
 	e.phaseNs[2] += int64(time.Since(t2))

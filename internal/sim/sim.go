@@ -280,21 +280,22 @@ func (v *View) Inbox(i int) []Delivery { return v.pending.pendingInbox(i) }
 // and consumed by reference by every live processor. Recipients skip
 // multicasts they sent themselves.
 //
-// Combined is the batch's shared knowledge cache: the first consuming
-// machine that understands the payloads may fold the batch's whole new
-// knowledge into one accumulated structure and publish it here (setting
-// Builder to its pid), so every later consumer pays one merge instead of
-// one per sender. The engine returns Combined to the builder machine via
-// its PayloadRecycler hook when the batch is retired. Machines that use
-// the cache must treat published Combined values as immutable.
+// Combined is the batch's shared knowledge cache: the engine asks the
+// first consumer that understands the payloads to fold the batch's whole
+// new knowledge into one accumulated structure (BatchConsumer.
+// BuildCombined) and publishes it here with Builder set to that
+// consumer's pid, so every later consumer pays one merge instead of one
+// per sender. The engine returns Combined to the builder machine via its
+// PayloadRecycler hook when the batch is retired. Machines only read a
+// Batch; published Combined values are immutable.
 type Batch struct {
 	// At is the delivery time shared by every multicast in the batch.
 	At int64
 	// MCs are the delivered multicasts in delivery order.
 	MCs []*Multicast
-	// Combined is the machine-built shared knowledge cache (nil until a
-	// consumer builds it); Builder is the pid whose machine owns its
-	// buffers, -1 while unset.
+	// Combined is the engine-published shared knowledge cache (nil until
+	// a consumer has built one); Builder is the pid whose machine built
+	// it and owns its buffers, -1 while unset.
 	Combined any
 	Builder  int32
 	// remaining counts live processors that have not yet consumed the
@@ -312,26 +313,26 @@ type Batch struct {
 // still run under grouped delivery — their batches are materialized into
 // an ordinary inbox slice.
 //
-// BuildCombined builds and publishes b's combined knowledge cache
-// (Batch.Combined / Batch.Builder) from this machine's receive-cursor
-// state — exactly the cache its own StepBatched would build on first
-// consuming b — without consuming the batch. The machine's knowledge must
-// not change; its per-sender merge cursors advance exactly as the in-step
-// build would. The split is what lets the parallel tick engine construct
-// caches concurrently (phase A1): the builds read only the builder's
-// private cursors plus the batch's immutable payloads, so distinct
-// builders can construct their (disjoint) batch ranges at once, and the
-// builder's own later StepBatched finds the published caches and applies
-// them — monotone unions land it on the same state the combined
-// build-and-apply would have. BuildCombined must return false —
-// publishing nothing and mutating nothing (aborted accumulation scratch
-// excepted, exactly as an in-step aborted build) — when the batch's
-// payloads are not combinable by this machine; the engine then leaves the
-// batch cache-less, which every consumer handles by its eager fallback.
+// BuildCombined returns b's combined knowledge cache, built from this
+// machine's receive-cursor state, without consuming the batch: the
+// machine's knowledge must not change, and its per-sender merge cursors
+// advance exactly as consuming b would advance them. The engine calls it
+// just before the machine's step for each pending batch that has no
+// cache yet, oldest first, and publishes the result (Batch.Combined,
+// Batch.Builder); the step then applies the published caches like any
+// later consumer, and monotone unions land it on the state a combined
+// build-and-apply would have. Because a build reads only the builder's
+// cursors and the batch's immutable payloads, the parallel tick makes
+// every build serially before its shards step (phase A1), and no step
+// ever writes a Batch. BuildCombined returns nil — mutating nothing
+// (aborted accumulation scratch excepted) — when this machine cannot
+// combine the batch's payloads; the batch then stays cache-less for the
+// next consumer, and every consumer handles a missing or foreign cache by
+// merging the batch's multicasts one by one.
 type BatchConsumer interface {
 	Machine
 	StepBatched(now int64, batches []*Batch, tail []Delivery) StepResult
-	BuildCombined(b *Batch) bool
+	BuildCombined(b *Batch) any
 }
 
 // Decision is the adversary's scheduling choice for one time unit. The
