@@ -367,22 +367,25 @@ func BenchmarkDContentionSearchP128D8(b *testing.B) {
 	}
 }
 
-// BenchmarkNewPaRan1P4096 times PaRan1's construction at p=4096 (4096
-// permutations of 4096 jobs, 128 MiB of backing) serially and at the
-// fan-out the scenario registry uses for this width.
-func BenchmarkNewPaRan1P4096(b *testing.B) {
-	const p, t = 4096, 1 << 16
-	fans := []int{1}
-	if auto := doall.ResolveShards(doall.ShardsAuto, p); auto > 1 {
-		fans = append(fans, auto)
-	}
-	for _, shards := range fans {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.NewPaRan1Sharded(p, t, 42, shards)
-			}
-		})
+// BenchmarkBuildPaRan1 times PaRan1's construction (p permutations of p
+// jobs in one int32 backing: 64 MiB at p=4096) at t=2^16, serially and at
+// two shards.
+func BenchmarkBuildPaRan1(b *testing.B) { benchBuild(b, core.NewPaRan1Sharded) }
+
+// BenchmarkBuildPaRan2 times PaRan2's construction (p seeded sources and
+// their machines) on the same grid.
+func BenchmarkBuildPaRan2(b *testing.B) { benchBuild(b, core.NewPaRan2Sharded) }
+
+func benchBuild(b *testing.B, build func(p, t int, seed int64, shards int) []sim.Machine) {
+	for _, p := range []int{1024, 4096} {
+		for _, shards := range []int{1, 2} {
+			b.Run(fmt.Sprintf("p=%d/shards=%d", p, shards), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					build(p, 1<<16, 42, shards)
+				}
+			})
+		}
 	}
 }
 

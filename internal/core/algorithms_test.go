@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"doall/internal/adversary"
@@ -446,7 +447,7 @@ func TestPABuildFanOutEquivalence(t *testing.T) {
 			for i := 0; i < c.p; i++ {
 				want := serial1[i].(*PA).selector.(*permSelector).order
 				got := ran1[i].(*PA).selector.(*permSelector).order
-				if !got.Equal(want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("p=%d shards=%d: PaRan1 pid %d permutation %v, serial %v", c.p, shards, i, got, want)
 				}
 				if g := ran2[i].(*PA).selector.(*randSelector).rng.Int63(); g != firstDraws[i] {

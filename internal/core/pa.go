@@ -74,14 +74,15 @@ var (
 )
 
 // permSelector walks a fixed permutation of the jobs (PaRan1, PaDet).
+// Entries are int32, half the backing of ints: a job index is below p.
 type permSelector struct {
-	order perm.Perm
+	order []int32
 	pos   int
 }
 
 func (s *permSelector) next(done *bitset.Set) int {
 	for s.pos < len(s.order) {
-		j := s.order[s.pos]
+		j := int(s.order[s.pos])
 		if !done.Get(j) {
 			return j
 		}
@@ -145,23 +146,26 @@ func NewPaRan1(p, t int, seed int64) []sim.Machine { return NewPaRan1Sharded(p, 
 // over `shards` goroutines (inline for shards ≤ 1). A processor's
 // permutation depends on seed+pid alone, so every shard count builds
 // identical machines.
+//
+// Each permutation is the one math/rand's Perm draws from
+// rand.NewSource(seed+pid), drawn by perm.Shuffler straight from a
+// perm.Source: no interface call or division per draw, and a
+// division-free seed.
 func NewPaRan1Sharded(p, t int, seed int64, shards int) []sim.Machine {
 	jobs := NewJobs(p, t)
 	ms := make([]sim.Machine, p)
-	// All p permutations share one backing array (pointer-free, one
+	// All p permutations share one int32 backing array (pointer-free, one
 	// allocation) instead of p separate ones; each shard writes its own
 	// processors' slices of it.
-	backing := make([]int, p*jobs.N)
+	backing := make([]int32, p*jobs.N)
+	sh := perm.NewShuffler(jobs.N)
 	fanOut(p, shards, func(lo, hi int) {
-		// One source per shard, re-seeded per processor: Seed(s) fully
-		// reinitializes the generator, so the permutations are
-		// bit-identical to fresh rand.NewSource(s) draws while
-		// construction sheds a source allocation per processor.
-		src := rand.NewSource(seed)
-		r := rand.New(src)
+		// One source per shard, re-seeded per processor: Seed fully
+		// reinitializes the generator.
+		var src perm.Source
 		for i := lo; i < hi; i++ {
 			src.Seed(seed + int64(i))
-			order := perm.RandomInto(jobs.N, r, backing[i*jobs.N:])
+			order := sh.Into(&src, backing[i*jobs.N:])
 			ms[i] = newPA(i, p, jobs, &permSelector{order: order})
 		}
 	})
@@ -175,13 +179,17 @@ func NewPaRan2(p, t int, seed int64) []sim.Machine { return NewPaRan2Sharded(p, 
 
 // NewPaRan2Sharded is NewPaRan2 with the per-processor source seeding
 // fanned out over `shards` goroutines (inline for shards ≤ 1); every shard
-// count builds identical machines.
+// count builds identical machines. The p sources are perm.Sources held in
+// one backing slice, each wrapped in a rand.Rand: the same stream as
+// rand.NewSource(seed+pid), seeded without a division.
 func NewPaRan2Sharded(p, t int, seed int64, shards int) []sim.Machine {
 	jobs := NewJobs(p, t)
 	ms := make([]sim.Machine, p)
+	srcs := make([]perm.Source, p)
 	fanOut(p, shards, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			r := rand.New(rand.NewSource(seed + int64(i)))
+			srcs[i].Seed(seed + int64(i))
+			r := rand.New(&srcs[i])
 			ms[i] = newPA(i, p, jobs, &randSelector{rng: r, seed: seed + int64(i), committed: -1})
 		}
 	})
@@ -223,11 +231,27 @@ func NewPaDet(p, t int, l perm.List) ([]sim.Machine, error) {
 	if err := perm.CheckList(l); err != nil {
 		return nil, err
 	}
+	orders := int32Orders(l)
 	ms := make([]sim.Machine, p)
 	for i := range ms {
-		ms[i] = newPA(i, p, jobs, &permSelector{order: l[i%len(l)]})
+		ms[i] = newPA(i, p, jobs, &permSelector{order: orders[i%len(l)]})
 	}
 	return ms, nil
+}
+
+// int32Orders copies the permutations of l into one int32 backing.
+func int32Orders(l perm.List) [][]int32 {
+	n := l.N()
+	backing := make([]int32, len(l)*n)
+	orders := make([][]int32, len(l))
+	for u, pi := range l {
+		o := backing[u*n : (u+1)*n : (u+1)*n]
+		for i, v := range pi {
+			o[i] = int32(v)
+		}
+		orders[u] = o
+	}
+	return orders
 }
 
 func newPA(pid, p int, jobs Jobs, sel selector) *PA {

@@ -89,8 +89,8 @@ func TestQuickDoneSetMergeMatchesNaive(t *testing.T) {
 		// Two observers — one merging per delivery, one through batches —
 		// plus the naive shadow.
 		jobs := NewJobs(p, tasks)
-		eager := newPA(p, p+1, jobs, &permSelector{order: perm.Identity(jobs.N)})
-		batched := newPA(p, p+1, jobs, &permSelector{order: perm.Identity(jobs.N)})
+		eager := newPA(p, p+1, jobs, &permSelector{order: int32Orders(perm.List{perm.Identity(jobs.N)})[0]})
+		batched := newPA(p, p+1, jobs, &permSelector{order: int32Orders(perm.List{perm.Identity(jobs.N)})[0]})
 		shadow := bitset.New(jobs.N)
 		scratch := bitset.New(jobs.N)
 

@@ -11,7 +11,13 @@
 // in O(n log d) per permutation, so one (d)-Cont(Σ, σ) evaluation of p
 // schedules costs O(p·n log d) and allocates nothing: σ⁻¹, each σ⁻¹∘π_u
 // and the heap live in buffers reused across σ. Contention is the d = 1
-// case of d-contention and shares its code path.
+// case of d-contention and shares its code path. Machine builders draw
+// their random permutations with Source and Shuffler, byte-identical to
+// math/rand's: seeding is 1821 independent multiply-and-folds instead of
+// a chain of Schrage divisions, and each Fisher–Yates index is a table
+// lookup and two multiplications (the fastmod of Lemire, Kaser & Kurz,
+// "Faster remainder by direct computation", 2019) instead of an
+// interface call and two 32-bit divisions in (*Rand).Intn.
 //
 // Pruning. The schedule-list searches keep a candidate only if its maximum
 // over σ is below the best contention found so far. The per-σ sum only

@@ -31,22 +31,23 @@ func EstimateCellBytes(sc Scenario) int64 {
 	treeWords := (2*jobs + 64) / 64
 
 	// Schedule-permutation backing, the PA-family's dominant term: PaRan1
-	// and PaDet materialize one int per (processor, job) into a single
-	// shared backing array — p·jobs·8 bytes, 32 GiB at p = 65536 — while
-	// PaRan2 holds no permutation (each selection draws uniformly from the
-	// jobs its done-set leaves undone) and the non-permutation algorithms
-	// (DA's digit/stack walk, AllToAll's and ObliDo's flat scans) carry
-	// only polylog or per-word state already covered below. Charging the backing to every algorithm would veto
-	// affordable DA sweeps at large p; unknown algorithm strings keep the
-	// conservative charge. PaDet is charged twice: its schedule search
-	// holds two such lists at once, the best so far and the current
-	// candidate.
-	perm := p * jobs * 8
+	// materializes one int32 per (processor, job) into a single shared
+	// backing array — p·jobs·4 bytes, 16 GiB at p = 65536 — while PaRan2
+	// holds no permutation (each selection draws uniformly from the jobs
+	// its done-set leaves undone) and the non-permutation algorithms (DA's
+	// digit/stack walk, AllToAll's and ObliDo's flat scans) carry only
+	// polylog or per-word state already covered below. Charging the
+	// backing to every algorithm would veto affordable DA sweeps at large
+	// p; unknown algorithm strings keep the conservative charge. PaDet is
+	// charged its schedule search's two []int lists of p·jobs·8 bytes (the
+	// best so far and the current candidate) on top of the int32 copy its
+	// machines walk.
+	perm := p * jobs * 4
 	switch sc.Algorithm {
 	case AlgoDA, AlgoAllToAll, AlgoObliDo, AlgoPaRan2:
 		perm = 0
 	case AlgoPaDet:
-		perm *= 2
+		perm += 2 * p * jobs * 8
 	}
 
 	// Per-machine state, taking the larger of the PA and DA layouts: the
