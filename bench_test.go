@@ -474,14 +474,13 @@ func BenchmarkVersionedMergeKernels(b *testing.B) {
 	// chain-suffix: the in-sequence Merger path — cursor at version 1,
 	// snapshot four delta segments ahead, so each Merge walks only the
 	// chain suffix. Strides are sized to stay under the rebase threshold
-	// (the suffix path must not silently become a base merge).
+	// (the suffix path must not silently become a base merge). Version 1
+	// holds one word, so setting the cursor by merging it costs one word
+	// per iteration next to the suffix's 4 Ki.
 	b.Run("chain-suffix", func(b *testing.B) {
 		src := bitset.NewVersioned(n)
-		for i := 0; i < n; i += 64 {
-			src.Set(i)
-		}
+		src.Set(0)
 		s1 := src.Snapshot()
-		v1 := s1.Ver()
 		var snaps []*bitset.Snapshot
 		for round := 1; round <= 4; round++ {
 			for i := round; i < n; i += 1024 {
@@ -490,18 +489,18 @@ func BenchmarkVersionedMergeKernels(b *testing.B) {
 			snaps = append(snaps, src.Snapshot())
 		}
 		tip := snaps[len(snaps)-1]
-		if tip.BaseVer() > v1 {
-			b.Fatalf("setup rebased (baseVer=%d > cursor=%d); shrink the rounds", tip.BaseVer(), v1)
+		if tip.BaseVer() > s1.Ver() {
+			b.Fatalf("setup rebased (baseVer=%d > cursor=%d); shrink the rounds", tip.BaseVer(), s1.Ver())
 		}
 		dst := bitset.NewVersioned(n)
 		m := bitset.NewMerger(1)
-		m.Note(0, v1)
+		m.Merge(dst, 0, s1)
 		m.Merge(dst, 0, tip) // pre-merge: the timed loop measures the pure segment scans
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.Reset()
-			m.Note(0, v1)
+			m.Merge(dst, 0, s1)
 			m.Merge(dst, 0, tip)
 		}
 		b.ReportMetric(float64(tip.ChainLen()), "chain-len")

@@ -120,7 +120,7 @@ func TestMergerAcrossRejoin(t *testing.T) {
 	if n := mg.Merge(dst, 1, s1); n != 30 {
 		t.Fatalf("pre-crash merge added %d bits, want 30", n)
 	}
-	cursor := mg.Last(1)
+	cursor := s1.Ver() // the receiver's cursor after merging s1
 	sender.Recycle(s1)
 
 	sender.Rejoin()

@@ -7,14 +7,17 @@ package bitset
 // only the words a recipient has not seen yet.
 //
 // A snapshot still *means* the owner's full set at the snapshot's version;
-// it is merely *represented* as base ∪ chain. Receivers that track the
-// last version they merged from a sender consume only the chain suffix
-// newer than that version — cost proportional to the new knowledge — and
-// fall back to a full base-plus-chain merge on version gaps (first
-// contact, reordering across a rebase, or a stale cursor). Because merges
-// are monotone unions, a *stale* cursor is always safe: it can only cause
-// redundant (idempotent) merging, never a missed word. That invariant is
-// what lets batched consumers skip cursor maintenance entirely.
+// it is merely *represented* as base ∪ chain. A reader that knows the
+// sender's set at some older version consumes only the chain suffix newer
+// than that version — cost proportional to the new knowledge — and falls
+// back to a full base-plus-chain read on version gaps (first contact,
+// reordering across a rebase). Two readers use this: a receiver's Merger,
+// whose per-sender cursors record what its own merges consumed, and
+// Snapshot.AccumulateInto, which a combined batch cache is built with from
+// a watermark the caller keeps (the simulation engine's per-sender build
+// watermark). Because merges are monotone unions, a *stale* version is
+// always safe: it can only cause redundant (idempotent) merging, never a
+// missed word.
 //
 // Buffer lifecycle: snapshots are pooled through Recycle — the simulation
 // engine hands a snapshot back to its owner once every recipient has
@@ -569,21 +572,54 @@ func (s *Snapshot) Materialize(dst *Set) {
 	}
 }
 
+// AccumulateInto ORs the part of the snapshot newer than version since
+// into the plain scratch set acc, appending the touched word indices to
+// idxs (repeats allowed). A reader that already holds the owner's set at
+// version since thereby gains the snapshot's whole meaning. Behind the
+// epoch base it ORs the full base and chain and reports the accumulation
+// dense (acc should then be consumed by a full-width union rather than by
+// index list). It returns the extended index slice and the dense flag.
+func (s *Snapshot) AccumulateInto(acc *Set, since int64, idxs []int32) ([]int32, bool) {
+	if s.ver <= since {
+		return idxs, false
+	}
+	if since < s.ep.baseVer {
+		if s.ep.base != nil {
+			acc.OrWith(s.ep.base)
+		}
+		for seg := s.head; seg != nil; seg = seg.prev {
+			for _, dw := range seg.words {
+				acc.words[dw.Index] |= dw.Word
+			}
+		}
+		return idxs, true
+	}
+	for seg := s.head; seg != nil && seg.ver > since; seg = seg.prev {
+		for _, dw := range seg.words {
+			acc.words[dw.Index] |= dw.Word
+			idxs = append(idxs, dw.Index)
+		}
+	}
+	return idxs, false
+}
+
 // Merger is the receiver-side cursor of the versioned knowledge plane:
 // last[i] is a lower bound on the newest version this receiver has merged
-// from sender i. The bound may be stale — batched consumers skip cursor
-// maintenance — and staleness is safe by monotonicity: a stale cursor
-// merges redundant (idempotent) words, never misses one.
+// from sender i. Only the receiver's own per-delivery merges (Merge,
+// MergeCollect) move it; knowledge that arrives another way (a combined
+// batch cache) leaves it stale, and staleness is safe by monotonicity: a
+// stale cursor merges redundant (idempotent) words, never misses one.
 type Merger struct {
 	p    int
 	last []int64 // allocated on first use; nil means all cursors at 0
 }
 
 // NewMerger returns a cursor set for p senders, all at version 0. The
-// cursor array is allocated lazily on first use: under the engine's
-// batched delivery path most machines never maintain cursors (stale
-// cursors are safe), and p machines × p senders of eager arrays would
-// dominate machine-construction garbage at large p.
+// cursors serve per-delivery merges only, and under the engine's grouped
+// delivery most knowledge arrives through combined batch caches, so most
+// machines rarely or never merge per delivery; the array is allocated on
+// first use, since p machines × p senders of eager arrays would dominate
+// machine-construction garbage at large p.
 func NewMerger(p int) *Merger { return &Merger{p: p} }
 
 // ensure materializes the cursor array.
@@ -604,22 +640,6 @@ func (m *Merger) Clone() *Merger {
 		c.last = append([]int64(nil), m.last...)
 	}
 	return c
-}
-
-// Last returns the cursor for sender `from`.
-func (m *Merger) Last(from int) int64 {
-	if m.last == nil {
-		return 0
-	}
-	return m.last[from]
-}
-
-// Note raises the cursor for sender `from` to ver (never lowers it).
-func (m *Merger) Note(from int, ver int64) {
-	last := m.ensure()
-	if ver > last[from] {
-		last[from] = ver
-	}
 }
 
 // Merge folds snapshot s from sender `from` into dst and returns the
@@ -678,36 +698,4 @@ func (m *Merger) MergeCollect(dst *Versioned, from int, s *Snapshot, out []Delta
 	}
 	last[from] = s.ver
 	return added, out
-}
-
-// AccumulateInto ORs the portion of snapshot s this receiver has not seen
-// (per its cursor) into the plain scratch set acc, appending the touched
-// word indices to idxs (repeats allowed), without updating the cursor or
-// any destination set. Batch builders use it to construct the combined
-// knowledge of one delivery group. It returns the extended index slice
-// and whether the accumulation was dense (included a full base, so acc
-// should be consumed by a full-width union rather than by index list).
-func (m *Merger) AccumulateInto(acc *Set, from int, s *Snapshot, idxs []int32) ([]int32, bool) {
-	u := m.Last(from)
-	if s.ver <= u {
-		return idxs, false
-	}
-	if u < s.ep.baseVer {
-		if s.ep.base != nil {
-			acc.OrWith(s.ep.base)
-		}
-		for seg := s.head; seg != nil; seg = seg.prev {
-			for _, dw := range seg.words {
-				acc.words[dw.Index] |= dw.Word
-			}
-		}
-		return idxs, true
-	}
-	for seg := s.head; seg != nil && seg.ver > u; seg = seg.prev {
-		for _, dw := range seg.words {
-			acc.words[dw.Index] |= dw.Word
-			idxs = append(idxs, dw.Index)
-		}
-	}
-	return idxs, false
 }

@@ -300,7 +300,8 @@ func TestDANextTaskAfterMergesAllocatesNothing(t *testing.T) {
 							inbox = append(inbox, d)
 						}
 					}
-					m.merge(inbox)
+					m.merge(nil, inbox)
+					m.tree.Close(m.delta)
 				}
 				want := m.NextTask()
 				if a := testing.AllocsPerRun(5, func() { m.NextTask() }); a != 0 {

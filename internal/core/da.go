@@ -29,20 +29,15 @@ import (
 // Work is O(t·p^ε + p·min{t,d}·⌈t/d⌉^ε) for a suitable constant q and a
 // low-contention Σ (Theorems 5.4, 5.5); messages are O(p·W) (Theorem 5.6).
 type DA struct {
-	pid    int
-	q      int
-	perms  perm.List // q permutations of [q]
-	digits []int     // q-ary digits of pid, digits[m] used at depth m
-	tree   *tree.Tree
-	vers   *bitset.Versioned // the tree's versioned node bits
-	mg     *bitset.Merger    // per-sender version cursor
-	jobs   Jobs
-	stack  []daFrame
-	unit   int // tasks of the current leaf's job already performed
-	halted bool
-	// scratch collects merged delta words for closure propagation.
-	scratch []bitset.DeltaWord
-	comb    combinedPool // pooled batch accumulators
+	knowledge // vers is the tree's versioned node bits
+	q         int
+	perms     perm.List // q permutations of [q]
+	digits    []int     // q-ary digits of pid, digits[m] used at depth m
+	tree      *tree.Tree
+	jobs      Jobs
+	stack     []daFrame
+	unit      int // tasks of the current leaf's job already performed
+	halted    bool
 }
 
 type daFrame struct {
@@ -92,14 +87,12 @@ func NewDA(cfg DAConfig) ([]sim.Machine, error) {
 	for i := range ms {
 		tr, _ := tree.NewForTasksVersioned(cfg.Q, jobs.N)
 		m := &DA{
-			pid:    i,
-			q:      cfg.Q,
-			perms:  cfg.Perms,
-			digits: qDigits(i, cfg.Q, tr.Height()),
-			tree:   tr,
-			vers:   tr.Versioned(),
-			mg:     bitset.NewMerger(cfg.P),
-			jobs:   jobs,
+			knowledge: knowledge{pid: i, trees: true, vers: tr.Versioned(), mg: bitset.NewMerger(cfg.P)},
+			q:         cfg.Q,
+			perms:     cfg.Perms,
+			digits:    qDigits(i, cfg.Q, tr.Height()),
+			tree:      tr,
+			jobs:      jobs,
 		}
 		m.stack = append(m.stack, daFrame{node: tr.Root(), depth: 0})
 		ms[i] = m
@@ -123,16 +116,18 @@ func qDigits(pid, q, h int) []int {
 // traversal by one micro-operation: skip a finished subtree, descend into
 // a child, perform one task of a leaf job, or close a node and multicast.
 func (m *DA) Step(now int64, inbox []sim.Delivery) sim.StepResult {
-	m.merge(inbox)
-	return m.advance()
+	return m.StepBatched(now, nil, inbox)
 }
 
-// StepBatched implements sim.BatchConsumer; see PA.StepBatched.
+// StepBatched implements sim.BatchConsumer; see PA.StepBatched. The
+// interior-closure invariant is restored from the merged words once all
+// of them landed: Tree.Close visits only the parent words of the new bits
+// (an interior node's children can only become all-done when one of them
+// is new) and closes a word of parents at a time, so the result equals
+// the bottom-up recompute at new-knowledge cost.
 func (m *DA) StepBatched(now int64, batches []*sim.Batch, tail []sim.Delivery) sim.StepResult {
-	for _, b := range batches {
-		m.mergeBatch(b)
-	}
-	m.merge(tail)
+	m.merge(batches, tail)
+	m.tree.Close(m.delta)
 	return m.advance()
 }
 
@@ -193,103 +188,10 @@ func (m *DA) advance() sim.StepResult {
 	}
 }
 
-// merge applies received tree snapshots to the local replica: only the
-// chain suffix the sender's version cursor says is new, with closure
-// restored from the merged bits (propagateChanges).
-func (m *DA) merge(inbox []sim.Delivery) {
-	for _, msg := range inbox {
-		snap, ok := msg.Payload().(TreeSnapshot)
-		if !ok || snap.S.Len() != m.tree.Size() {
-			continue
-		}
-		m.scratch = m.scratch[:0]
-		_, m.scratch = m.mg.MergeCollect(m.vers, msg.From(), snap.S, m.scratch)
-		m.propagateChanges()
-	}
-}
-
-// mergeBatch folds one shared delivery group into the replica; see
-// PA.mergeBatch for the cache protocol.
-func (m *DA) mergeBatch(b *sim.Batch) {
-	if kc, ok := b.Combined.(*knowledgeCombined); ok && kc.n == m.tree.Size() {
-		m.applyCombined(kc)
-		return
-	}
-	m.mergeBatchEager(b)
-}
-
-// BuildCombined implements sim.BatchConsumer; see PA.BuildCombined.
-// The accumulation reads only the merge cursors and the batch's
-// immutable tree snapshots — never the replica — and closure
-// propagation happens when the step applies the cache.
-func (m *DA) BuildCombined(b *sim.Batch) any {
-	kc := m.comb.get(m.tree.Size())
-	for _, mc := range b.MCs {
-		ts, ok := mc.Payload.(TreeSnapshot)
-		if !ok || ts.S.Len() != m.tree.Size() {
-			m.comb.put(kc)
-			return nil
-		}
-		var dense bool
-		kc.idxs, dense = m.mg.AccumulateInto(kc.bits, mc.From, ts.S, kc.idxs)
-		kc.dense = kc.dense || dense
-	}
-	for _, mc := range b.MCs {
-		m.mg.Note(mc.From, mc.Payload.(TreeSnapshot).S.Ver())
-	}
-	if 2*len(kc.idxs) >= len(kc.bits.Words()) {
-		kc.dense = true
-	}
-	return kc
-}
-
-func (m *DA) applyCombined(kc *knowledgeCombined) {
-	m.scratch = m.scratch[:0]
-	if kc.dense {
-		_, m.scratch = m.vers.UnionWithCollect(kc.bits, m.scratch)
-	} else {
-		_, m.scratch = m.vers.MergeWordsCollect(kc.bits, kc.idxs, m.scratch)
-	}
-	m.propagateChanges()
-}
-
-func (m *DA) mergeBatchEager(b *sim.Batch) {
-	for _, mc := range b.MCs {
-		if mc.From == m.pid {
-			continue
-		}
-		ts, ok := mc.Payload.(TreeSnapshot)
-		if !ok || ts.S.Len() != m.tree.Size() {
-			continue
-		}
-		m.scratch = m.scratch[:0]
-		_, m.scratch = m.mg.MergeCollect(m.vers, mc.From, ts.S, m.scratch)
-		m.propagateChanges()
-	}
-}
-
-// propagateChanges restores the interior-closure invariant after the last
-// merge, whose newly set bits scratch holds as word deltas. Tree.Close
-// visits only the parent words of those bits — an interior node's children
-// can only become all-done when one of them is new — and closes a word of
-// parents at a time, so the result equals the bottom-up recompute at
-// new-knowledge cost.
-func (m *DA) propagateChanges() { m.tree.Close(m.scratch) }
-
 // snapshot captures the progress tree for a broadcast: an O(changed
 // words) versioned snapshot sharing the epoch base.
 func (m *DA) snapshot() TreeSnapshot {
 	return TreeSnapshot{S: m.vers.Snapshot()}
-}
-
-// RecyclePayload implements sim.PayloadRecycler; see PA.RecyclePayload.
-func (m *DA) RecyclePayload(p any) {
-	switch v := p.(type) {
-	case TreeSnapshot:
-		m.vers.Recycle(v.S)
-	case *knowledgeCombined:
-		m.comb.put(v)
-	}
 }
 
 // KnowsAllDone implements sim.Machine.
@@ -321,11 +223,8 @@ func (m *DA) NextTask() int {
 func (m *DA) CloneMachine() sim.Machine {
 	c := *m
 	c.tree = m.tree.Clone()
-	c.vers = c.tree.Versioned()
-	c.mg = m.mg.Clone()
+	c.knowledge = m.clone(c.tree.Versioned())
 	c.stack = append([]daFrame(nil), m.stack...)
-	c.scratch = nil
-	c.comb = combinedPool{} // pooled buffers stay with the original
 	// digits and perms are immutable; share them.
 	return &c
 }

@@ -23,8 +23,8 @@ import (
 // received snapshots are merged through a per-sender version cursor
 // (bitset.Merger), so a delivery costs words-changed, not words-total.
 // Under the engine's grouped delivery path (sim.BatchConsumer) a whole
-// delivery group is merged as one combined union, built once per group by
-// its first consumer.
+// delivery group is merged as one combined union, built once per group
+// when it forms (the knowledge plane it shares with DA).
 //
 // The three family members differ only in the Selector:
 //
@@ -37,16 +37,13 @@ import (
 // Expected (worst-case for PaDet with a suitable Σ) work is
 // O(t·log p + p·min{t,d}·log(2+t/d)) — Theorems 6.2 and 6.3.
 type PA struct {
-	pid      int
-	jobs     Jobs
-	done     *bitset.Versioned // done job set (known complete)
-	mg       *bitset.Merger    // per-sender version cursor
-	remain   int               // jobs not known complete
-	selector selector
-	cur      int // current job, -1 if none selected
-	unit     int // tasks of current job already performed
-	halted   bool
-	comb     combinedPool // pooled batch accumulators
+	knowledge // vers is the done job set (known complete)
+	jobs      Jobs
+	remain    int // jobs not known complete
+	selector  selector
+	cur       int // current job, -1 if none selected
+	unit      int // tasks of current job already performed
+	halted    bool
 }
 
 // selector abstracts the Order+Select specializations of Fig. 4.
@@ -256,31 +253,24 @@ func int32Orders(l perm.List) [][]int32 {
 
 func newPA(pid, p int, jobs Jobs, sel selector) *PA {
 	return &PA{
-		pid:      pid,
-		jobs:     jobs,
-		done:     bitset.NewVersioned(jobs.N),
-		mg:       bitset.NewMerger(p),
-		remain:   jobs.N,
-		selector: sel,
-		cur:      -1,
+		knowledge: knowledge{pid: pid, vers: bitset.NewVersioned(jobs.N), mg: bitset.NewMerger(p)},
+		jobs:      jobs,
+		remain:    jobs.N,
+		selector:  sel,
+		cur:       -1,
 	}
 }
 
 // Step implements sim.Machine.
 func (m *PA) Step(now int64, inbox []sim.Delivery) sim.StepResult {
-	m.mergeInbox(inbox)
-	return m.advance()
+	return m.StepBatched(now, nil, inbox)
 }
 
 // StepBatched implements sim.BatchConsumer: pending delivery groups are
 // merged through the shared combined-knowledge cache (one union per
-// group), the per-recipient tail individually. Merges are monotone
-// unions, so the order difference from Step is unobservable.
+// group), the per-recipient tail individually.
 func (m *PA) StepBatched(now int64, batches []*sim.Batch, tail []sim.Delivery) sim.StepResult {
-	for _, b := range batches {
-		m.mergeBatch(b)
-	}
-	m.mergeInbox(tail)
+	m.remain -= m.merge(batches, tail)
 	return m.advance()
 }
 
@@ -292,8 +282,8 @@ func (m *PA) advance() sim.StepResult {
 	}
 
 	// (Re)select if we have no current job or a peer finished ours.
-	if m.cur < 0 || m.done.Get(m.cur) {
-		m.cur = m.selector.next(m.done.Bits())
+	if m.cur < 0 || m.vers.Get(m.cur) {
+		m.cur = m.selector.next(m.vers.Bits())
 		m.unit = 0
 		if m.cur < 0 {
 			m.halted = true
@@ -321,107 +311,17 @@ func (m *PA) advance() sim.StepResult {
 	return r
 }
 
-func (m *PA) mergeInbox(inbox []sim.Delivery) {
-	for _, msg := range inbox {
-		ds, ok := msg.Payload().(DoneSet)
-		if !ok || ds.S.Len() != m.done.Len() {
-			continue
-		}
-		m.remain -= m.mg.Merge(m.done, msg.From(), ds.S)
-	}
-}
-
-// mergeBatch folds one shared delivery group into the done-set: apply the
-// published combined knowledge if compatible, else merge per sender (no
-// cache, or a cache another machine kind or shape built).
-func (m *PA) mergeBatch(b *sim.Batch) {
-	if kc, ok := b.Combined.(*knowledgeCombined); ok && kc.n == m.done.Len() {
-		m.applyCombined(kc)
-		return
-	}
-	m.mergeBatchEager(b)
-}
-
-// BuildCombined implements sim.BatchConsumer: it accumulates the
-// batch's unseen knowledge (per this machine's merge cursors) into a
-// pooled combined cache, advances the cursors, and returns the cache for
-// the engine to publish, or nil if a payload is not a same-shape DoneSet.
-// The engine calls it ahead of the machine's own step, which then
-// consumes the batch through the published cache like any later
-// consumer; the accumulation never reads the done-set and the apply
-// never moves the cursors.
-func (m *PA) BuildCombined(b *sim.Batch) any {
-	kc := m.comb.get(m.done.Len())
-	for _, mc := range b.MCs {
-		ds, ok := mc.Payload.(DoneSet)
-		if !ok || ds.S.Len() != m.done.Len() {
-			m.comb.put(kc)
-			return nil
-		}
-		var dense bool
-		kc.idxs, dense = m.mg.AccumulateInto(kc.bits, mc.From, ds.S, kc.idxs)
-		kc.dense = kc.dense || dense
-	}
-	// Advance the cursors only now that the whole batch accumulated — an
-	// aborted build must not claim knowledge it never merged.
-	for _, mc := range b.MCs {
-		m.mg.Note(mc.From, mc.Payload.(DoneSet).S.Ver())
-	}
-	if 2*len(kc.idxs) >= len(kc.bits.Words()) {
-		kc.dense = true // full-width union is cheaper than the index list
-	}
-	return kc
-}
-
-func (m *PA) applyCombined(kc *knowledgeCombined) {
-	if kc.dense {
-		m.remain -= m.done.UnionWith(kc.bits)
-	} else {
-		m.remain -= m.done.MergeWords(kc.bits, kc.idxs)
-	}
-}
-
-// mergeBatchEager merges a batch's multicasts one by one (the fallback
-// when no compatible combined cache applies).
-func (m *PA) mergeBatchEager(b *sim.Batch) {
-	for _, mc := range b.MCs {
-		if mc.From == m.pid {
-			continue
-		}
-		if ds, ok := mc.Payload.(DoneSet); ok && ds.S.Len() == m.done.Len() {
-			m.remain -= m.mg.Merge(m.done, mc.From, ds.S)
-		}
-	}
-}
-
 func (m *PA) markDone(j int) {
-	if !m.done.Get(j) {
-		m.done.Set(j)
+	if !m.vers.Get(j) {
+		m.vers.Set(j)
 		m.remain--
 	}
 }
 
 // snapshot captures the done-set for a broadcast: an O(changed words)
-// versioned snapshot sharing the epoch base, not a full copy. The own
-// cursor deliberately does NOT advance here: batch builders must
-// accumulate even their own snapshots from the cohort's last-consumed
-// version, because the combined cache they publish is consumed by
-// everyone (merging one's own words back is a monotone no-op).
+// versioned snapshot sharing the epoch base, not a full copy.
 func (m *PA) snapshot() DoneSet {
-	return DoneSet{S: m.done.Snapshot()}
-}
-
-// RecyclePayload implements sim.PayloadRecycler: snapshots whose
-// recipients have all consumed them return to the versioned set's pools
-// (retiring whole epochs once drained), and combined batch caches this
-// machine built return to its accumulator pool.
-func (m *PA) RecyclePayload(p any) {
-	switch v := p.(type) {
-	case DoneSet:
-		m.done.Recycle(v.S)
-	case *knowledgeCombined:
-		m.comb.put(v)
-	}
+	return DoneSet{S: m.vers.Snapshot()}
 }
 
 // KnowsAllDone implements sim.Machine.
@@ -433,8 +333,8 @@ func (m *PA) NextTask() int {
 		return -1
 	}
 	cur, unit := m.cur, m.unit
-	if cur < 0 || m.done.Get(cur) {
-		cur = m.selector.next(m.done.Bits())
+	if cur < 0 || m.vers.Get(cur) {
+		cur = m.selector.next(m.vers.Bits())
 		unit = 0
 	}
 	if cur < 0 {
@@ -454,9 +354,7 @@ func (m *PA) CloneMachine() sim.Machine {
 	}
 	c := *m
 	c.selector = sel
-	c.done = m.done.Clone()
-	c.mg = m.mg.Clone()
-	c.comb = combinedPool{} // pooled buffers stay with the original
+	c.knowledge = m.clone(m.vers.Clone())
 	return &c
 }
 
@@ -465,7 +363,7 @@ func (m *PA) CloneMachine() sim.Machine {
 // Every member replays its first trial exactly: PaRan1 and PaDet restart
 // their schedules, PaRan2 re-seeds its random source.
 func (m *PA) Reset() {
-	m.done.Reset()
+	m.vers.Reset()
 	m.mg.Reset()
 	m.remain = m.jobs.N
 	m.selector.reset(true)
@@ -485,7 +383,7 @@ func (m *PA) Reset() {
 // re-seeded deterministically via the selector's reset; PaRan2's random
 // stream continues.
 func (m *PA) Rejoin() {
-	m.done.Rejoin()
+	m.vers.Rejoin()
 	m.mg.Reset()
 	m.remain = m.jobs.N
 	m.selector.reset(false)

@@ -24,27 +24,6 @@ var (
 	_ sim.PayloadSizer = (*PA)(nil)
 )
 
-// PayloadWireSize implements sim.PayloadSizer: the engine asks the
-// sending machine to size its own payload so byte accounting needs no
-// payload.(sim.Payload) assertion on the hot path — the concrete type
-// check below compiles to a type-descriptor compare with no runtime
-// itab-cache involvement (whose lazy random population would otherwise
-// be a rare steady-state allocation).
-func (m *DA) PayloadWireSize(payload any) int {
-	if s, ok := payload.(TreeSnapshot); ok {
-		return s.WireSize()
-	}
-	return 0
-}
-
-// PayloadWireSize implements sim.PayloadSizer; see DA.PayloadWireSize.
-func (m *PA) PayloadWireSize(payload any) int {
-	if s, ok := payload.(DoneSet); ok {
-		return s.WireSize()
-	}
-	return 0
-}
-
 // TreeSnapshot is the DA multicast payload: a versioned snapshot of the
 // sender's progress-tree bits. The payload *means* the sender's full tree
 // at the snapshot's version; it is *represented* as an immutable epoch
@@ -107,53 +86,4 @@ func snapshotEncode(full, delta wire.Kind, s *bitset.Snapshot) []byte {
 		return wire.Encode(full, b)
 	}
 	return wire.Encode(full, bitset.New(s.Len()))
-}
-
-// knowledgeCombined is the combined knowledge cache one consumer
-// publishes in a sim.Batch (Batch.Combined): the union of the new words
-// of every snapshot in the batch, accumulated once and merged by every
-// later consumer with a single union instead of one merge per sender.
-// idxs lists the touched word indices (repeats allowed) for the sparse
-// consume path; dense marks accumulations that folded in a full epoch
-// base, which must be consumed full-width. Published values are immutable
-// until the engine hands them back to the builder for pooling.
-type knowledgeCombined struct {
-	n     int // bit capacity (shape key: consumers with another n ignore it)
-	bits  *bitset.Set
-	idxs  []int32
-	dense bool
-}
-
-// combinedPool pools knowledgeCombined accumulators inside one machine.
-type combinedPool struct {
-	free []*knowledgeCombined
-}
-
-// get returns a cleared accumulator for n bits.
-func (p *combinedPool) get(n int) *knowledgeCombined {
-	for len(p.free) > 0 {
-		kc := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		if kc.n == n {
-			return kc
-		}
-		// Wrong shape (machine reused across shapes): drop it.
-	}
-	return &knowledgeCombined{n: n, bits: bitset.New(n)}
-}
-
-// put clears and pools an accumulator: sparse accumulations zero only
-// their touched words, dense ones the whole set.
-func (p *combinedPool) put(kc *knowledgeCombined) {
-	if kc.dense {
-		kc.bits.ClearAll()
-	} else {
-		words := kc.bits.Words()
-		for _, i := range kc.idxs {
-			words[i] = 0
-		}
-	}
-	kc.idxs = kc.idxs[:0]
-	kc.dense = false
-	p.free = append(p.free, kc)
 }

@@ -103,8 +103,9 @@ func (w rejoinWorld) run(seed int64) error {
 			from := 1 + rng.Intn(w.p-1)
 			mcA := &sim.Multicast{From: from, SentAt: now, Payload: pl}
 			mcB := &sim.Multicast{From: from, SentAt: now, Payload: pl}
-			subject.(*PA).mergeInbox([]sim.Delivery{{MC: mcA, At: now}})
-			twin.(*PA).mergeInbox([]sim.Delivery{{MC: mcB, At: now}})
+			sp, tp := subject.(*PA), twin.(*PA)
+			sp.remain -= sp.merge(nil, []sim.Delivery{{MC: mcA, At: now}})
+			tp.remain -= tp.merge(nil, []sim.Delivery{{MC: mcB, At: now}})
 			now++
 		}
 		return w.stateEqual(subject, twin)
@@ -146,7 +147,7 @@ func paStateEqual(a, b sim.Machine) error {
 	if x.remain != y.remain {
 		return fmt.Errorf("PA remain: revived %d, fresh %d", x.remain, y.remain)
 	}
-	if !bitsetEqual(x.done.Bits(), y.done.Bits()) {
+	if !bitsetEqual(x.vers.Bits(), y.vers.Bits()) {
 		return fmt.Errorf("PA done sets differ")
 	}
 	return nil

@@ -74,7 +74,8 @@ func shuffleDropPlan(rng *rand.Rand, n int) []int {
 }
 
 // TestQuickDoneSetMergeMatchesNaive drives PA's actual merge paths
-// (mergeInbox, and BuildCombined then mergeBatch) on a merge-only
+// (per delivery, and BuildCombined then the batch merge, with the test
+// keeping the build watermarks the engine would) on a merge-only
 // observer and compares, after every delivery, against the naive
 // reference: materialize each DoneSet fully and union it in. The
 // remain counter must match the naive added-bit count, too.
@@ -93,23 +94,24 @@ func TestQuickDoneSetMergeMatchesNaive(t *testing.T) {
 		batched := newPA(p, p+1, jobs, &permSelector{order: int32Orders(perm.List{perm.Identity(jobs.N)})[0]})
 		shadow := bitset.New(jobs.N)
 		scratch := bitset.New(jobs.N)
+		since := make([]int64, p+1)
 
 		for _, qi := range shuffleDropPlan(rng, len(queue)) {
 			d := queue[qi]
 			ds := d.payload.(DoneSet)
 			mc := &sim.Multicast{From: d.from, Payload: ds}
-			eager.mergeInbox([]sim.Delivery{{MC: mc}})
+			eager.remain -= eager.merge(nil, []sim.Delivery{{MC: mc}})
 
 			b := &sim.Batch{MCs: []*sim.Multicast{mc}, Builder: -1}
-			if kc := batched.BuildCombined(b); kc != nil {
+			if kc := batched.BuildCombined(b, since); kc != nil {
 				b = &sim.Batch{MCs: b.MCs, Combined: kc, Builder: int32(p)}
 			}
-			batched.mergeBatch(b)
+			batched.remain -= batched.merge([]*sim.Batch{b}, nil)
 
 			ds.S.Materialize(scratch)
 			added := shadow.UnionWith(scratch)
 
-			if !eager.done.Bits().Equal(shadow) || !batched.done.Bits().Equal(shadow) {
+			if !eager.vers.Bits().Equal(shadow) || !batched.vers.Bits().Equal(shadow) {
 				t.Logf("seed=%d: done sets diverged from naive union", seed)
 				return false
 			}
@@ -146,28 +148,31 @@ func TestQuickTreeSnapshotMergeMatchesNaive(t *testing.T) {
 		mkObserver := func() *DA {
 			tr, _ := tree.NewForTasksVersioned(2, jobs.N)
 			return &DA{
-				pid: p, q: 2, perms: perm.RotationList(2, 2),
+				knowledge: knowledge{pid: p, trees: true, vers: tr.Versioned(), mg: bitset.NewMerger(p + 1)},
+				q:         2, perms: perm.RotationList(2, 2),
 				digits: qDigits(p, 2, tr.Height()),
-				tree:   tr, vers: tr.Versioned(),
-				mg: bitset.NewMerger(p + 1), jobs: jobs,
+				tree:   tr, jobs: jobs,
 			}
 		}
 		eager := mkObserver()
 		batched := mkObserver()
 		shadow, _ := tree.NewForTasks(2, jobs.N) // plain: naive MergeSet + recompute
 		scratch := bitset.New(shadow.Size())
+		since := make([]int64, p+1)
 
 		for _, qi := range shuffleDropPlan(rng, len(queue)) {
 			d := queue[qi]
 			ts := d.payload.(TreeSnapshot)
 			mc := &sim.Multicast{From: d.from, Payload: ts}
-			eager.merge([]sim.Delivery{{MC: mc}})
+			eager.merge(nil, []sim.Delivery{{MC: mc}})
+			eager.tree.Close(eager.delta)
 
 			b := &sim.Batch{MCs: []*sim.Multicast{mc}, Builder: -1}
-			if kc := batched.BuildCombined(b); kc != nil {
+			if kc := batched.BuildCombined(b, since); kc != nil {
 				b = &sim.Batch{MCs: b.MCs, Combined: kc, Builder: int32(p)}
 			}
-			batched.mergeBatch(b)
+			batched.merge([]*sim.Batch{b}, nil)
+			batched.tree.Close(batched.delta)
 
 			ts.S.Materialize(scratch)
 			shadow.MergeSet(scratch)

@@ -106,7 +106,7 @@ var _ BatchConsumer = (*countingConsumer)(nil)
 
 // BuildCombined implements BatchConsumer: the consumer keeps no shared
 // knowledge cache.
-func (m *countingConsumer) BuildCombined(*Batch) any { return nil }
+func (m *countingConsumer) BuildCombined(*Batch, []int64) any { return nil }
 
 func (m *countingConsumer) StepBatched(now int64, batches []*Batch, tail []Delivery) StepResult {
 	m.batchedCalls++

@@ -83,13 +83,19 @@ type Engine struct {
 	// oldest first; the batch at ringBuf[ringHead] has sequence number
 	// ringSeq0 and batchSeq is the next sequence to assign. cursor[i] is
 	// the sequence of the first batch processor i has not consumed;
-	// batchers[i] caches machines[i]'s BatchConsumer.
+	// batchers[i] caches machines[i]'s BatchConsumer. since[j] is the
+	// build watermark of sender j: every consumer of a batch not yet
+	// formed has merged, through earlier combined caches, sender j's
+	// knowledge up to version since[j] (see buildCache). revived[i] is
+	// the last unit processor i revived at, 0 if it never did.
 	ringBuf   []*Batch
 	ringHead  int
 	ringSeq0  int64
 	batchSeq  int64
 	cursor    []int64
 	batchers  []BatchConsumer
+	since     []int64
+	revived   []int64
 	freeBatch []*Batch
 	scratch   []Delivery // View.Inbox's materialized inbox
 
@@ -227,6 +233,8 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 		e.facetSrc = make([]Machine, p)
 		e.batchers = make([]BatchConsumer, p)
 		e.cursor = make([]int64, p)
+		e.since = make([]int64, p)
+		e.revived = make([]int64, p)
 	} else {
 		for i := range e.inbox {
 			// Unconsumed deliveries from the previous run: drop the
@@ -282,6 +290,8 @@ func (e *Engine) reset(cfg Config, machines []Machine, adv Adversary) {
 	e.ringSeq0 = 0
 	e.batchSeq = 0
 	clear(e.cursor)
+	clear(e.since)
+	clear(e.revived)
 	e.stopped = 0
 	e.inflight = 0
 	e.idle = false
@@ -431,6 +441,7 @@ func (e *Engine) deliverBucket(evs []wevent, at int64) {
 		b.MCs = append(b.MCs, ev.mc)
 	}
 	b.remaining = consumers
+	e.buildCache(b)
 	e.ringBuf = append(e.ringBuf, b)
 	e.batchSeq++
 	if e.obs != nil {
@@ -482,42 +493,30 @@ func (e *Engine) pending(i int) []*Batch {
 	return e.ringBuf[e.ringHead+int(cur-e.ringSeq0):]
 }
 
-// uncached counts the pending batches that have no combined cache yet.
-func (e *Engine) uncached() int {
-	n := 0
-	for _, b := range e.ringBuf[e.ringHead:] {
-		if b.Combined == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// buildCaches publishes the combined caches this tick's steps will read.
-// Walking the schedule in order, it asks each scheduled BatchConsumer to
-// build a cache for every one of its pending batches that has none yet,
-// oldest first (the builds advance the machine's merge cursors batch by
-// batch), and stops once no pending batch lacks one. The first consumer
-// that can combine a batch builds its cache; a batch a machine cannot
-// combine stays cache-less for the next one. Both ticks call it before
-// any step, so no step writes a Batch and every machine meets the same
-// caches whatever the shard count.
-func (e *Engine) buildCaches() {
-	left := e.uncached()
-	for _, i := range e.dec.Active {
-		if left == 0 {
+// buildCache publishes b's combined knowledge cache (Batch.Combined),
+// built when the batch forms: the senders' BatchConsumers are asked in
+// batch order, and the first that returns a cache builds it. A build
+// folds in each payload's knowledge newer than the sender's watermark
+// (since) and raises the watermark; every consumer of b consumed every
+// earlier batch, so the cache carries exactly what some consumer of b
+// may lack. A revive zeroes the watermarks: the rejoined machine knows
+// nothing, and the next caches carry every sender's whole knowledge. A
+// batch holding a multicast its sender sent before reviving gets no
+// cache, and its consumers merge it one multicast at a time: the sender
+// skips its own forgotten knowledge, and each receiver's cursor decides
+// whether the older life is news to it. Machines only read a Batch, so
+// every step meets the same caches whatever the shard count.
+func (e *Engine) buildCache(b *Batch) {
+	for _, mc := range b.MCs {
+		if mc.SentAt < e.revived[mc.From] {
 			return
 		}
-		if i < 0 || i >= e.cfg.P || e.crashed[i] || e.halted[i] || e.batchers[i] == nil {
-			continue
-		}
-		for _, b := range e.pending(i) {
-			if b.Combined != nil {
-				continue
-			}
-			if c := e.batchers[i].BuildCombined(b); c != nil {
-				b.Combined, b.Builder = c, int32(i)
-				left--
+	}
+	for _, mc := range b.MCs {
+		if bc := e.batchers[mc.From]; bc != nil {
+			if c := bc.BuildCombined(b, e.since); c != nil {
+				b.Combined, b.Builder = c, int32(mc.From)
+				return
 			}
 		}
 	}
@@ -581,7 +580,7 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) (vi
 // entry. That is what makes the parallel tick possible: concurrent calls
 // for distinct machines are data-race-free because a step reads only the
 // machine's own state, immutable snapshots/batches, and combined caches
-// the engine published before the step (buildCaches).
+// the engine published when the batches formed (buildCache).
 //
 // BatchConsumer machines read the ring's batches directly; other
 // machines get their batches materialized into sb's scratch.
@@ -737,6 +736,8 @@ func (e *Engine) tick(now int64) {
 			// crash released its claim on them); batches formed from now
 			// on count it as a consumer again.
 			e.cursor[i] = e.batchSeq
+			clear(e.since)
+			e.revived[i] = now
 			RejoinMachine(e.machines[i])
 			e.res.Revivals++
 			if e.obs != nil {
@@ -749,9 +750,8 @@ func (e *Engine) tick(now int64) {
 
 	// 3. Execute the scheduled local steps, in parallel shards when
 	// configured (and the tick qualifies), sequentially otherwise. Both
-	// are buildCaches, then stepMachine + finishStep per scheduled
-	// processor, with the staged blocks merged once per tick, so they
-	// cannot diverge.
+	// are stepMachine + finishStep per scheduled processor, with the
+	// staged blocks merged once per tick, so they cannot diverge.
 	informed := false
 	ranPar := false
 	if e.shards > 1 {
@@ -762,7 +762,6 @@ func (e *Engine) tick(now int64) {
 		sb := &e.shard[0]
 		sb.begin(nb)
 		var r StepResult
-		e.buildCaches()
 		for _, i := range dec.Active {
 			if i < 0 || i >= e.cfg.P || e.crashed[i] || e.halted[i] {
 				continue

@@ -5,16 +5,14 @@ import "time"
 // The intra-run parallel tick engine (Config.Shards > 1). One time unit's
 // scheduled steps are executed by worker goroutines in three phases:
 //
-//  A1 (serial cache builds by the engine): buildCaches walks the
-//      schedule and publishes the combined-knowledge cache of every
-//      pending batch some scheduled consumer can combine, built by the
-//      first such consumer — the same call the sequential tick makes
-//      before its steps, so every machine is asked for the same builds
-//      and later meets the same caches. No machine step writes a Batch,
-//      so the ring is read-only from here to the end of the tick.
+//  A1 (serial): the schedule is filtered exactly like the sequential
+//      loop's. The combined-knowledge caches the steps will read were
+//      published when their batches formed (buildCache, during delivery),
+//      and no machine step writes a Batch, so the ring is read-only from
+//      here to the end of the tick.
 //  A2 (parallel): the schedule is split into contiguous shards; each
 //      shard's machines step concurrently against the shared ring (the
-//      immutable multicast lists and the phase-A1 combined caches). Each
+//      immutable multicast lists and published combined caches). Each
 //      shard also stages its steps' commutative accounting (stepMachine)
 //      — step/work counters, task-execution classification, message and
 //      byte charges, batch cursor advancement and consumption counts —
@@ -31,16 +29,16 @@ import "time"
 // Byte-identity argument, in brief: steps within one time unit are
 // input-independent (messages sent at time τ deliver at τ+1 at the
 // earliest), a step reads only its machine's private state plus immutable
-// snapshots and published caches, both ticks publish every cache before
-// the first step (BuildCombined reads only the builder's merge cursors
-// and the batch's immutable payloads, and a machine's cursors move only
-// in its own builds and step), the staged accounting is commutative
-// across the tick's steps (Result.Solved is constant within a tick, a
-// task's primary/secondary class depends only on whether an earlier time
-// unit performed it, and message charges are omission-independent), and
-// phase B replays every remaining shared-state mutation in schedule
-// order. The equivalence matrix in internal/scenario asserts the identity
-// across all algorithms, fault adversaries, and shard counts.
+// snapshots and published caches, every cache is built at delivery, before
+// any step of the tick, from the batch's immutable payloads and the
+// engine's build watermarks alone (no machine state), the staged
+// accounting is commutative across the tick's steps (Result.Solved is
+// constant within a tick, a task's primary/secondary class depends only
+// on whether an earlier time unit performed it, and message charges are
+// omission-independent), and phase B replays every remaining shared-state
+// mutation in schedule order. The equivalence matrix in
+// internal/scenario asserts the identity across all algorithms, fault
+// adversaries, and shard counts.
 //
 // Ticks that cannot be proven safe fall back to the sequential loop for
 // that unit: a schedule that is not strictly increasing (no registered
@@ -211,9 +209,10 @@ func (e *Engine) runShard(s int) {
 // tick does not qualify and the caller must run the sequential loop
 // (nothing has been mutated in that case).
 func (e *Engine) tickPar(now int64) (int, bool, bool) {
-	// Filter the schedule exactly like the sequential loop, bailing out if
-	// it is not strictly increasing (the replay phase assumes each
-	// processor steps at most once per unit, in index order).
+	// Phase A1: filter the schedule exactly like the sequential loop,
+	// bailing out if it is not strictly increasing (the replay phase
+	// assumes each processor steps at most once per unit, in index order).
+	t0 := time.Now()
 	sl := e.stepList[:0]
 	last := int32(-1)
 	for _, i := range e.dec.Active {
@@ -237,14 +236,10 @@ func (e *Engine) tickPar(now int64) (int, bool, bool) {
 		e.stepList = sl[:0]
 		return 0, false, false
 	}
-	t0 := time.Now()
 	if cap(e.parRes) < n {
 		e.parRes = make([]StepResult, n)
 	}
 	e.parRes = e.parRes[:n]
-
-	// Phase A1: publish the combined caches this tick's steps will read.
-	e.buildCaches()
 	nb := int(e.batchSeq - e.ringSeq0)
 
 	// Phase A2: fan the schedule out across the shards. The engine's

@@ -65,7 +65,7 @@ func (m *gossip) StepBatched(now int64, batches []*Batch, tail []Delivery) StepR
 	return m.Step(now, tail)
 }
 
-func (m *gossip) BuildCombined(b *Batch) any {
+func (m *gossip) BuildCombined(b *Batch, _ []int64) any {
 	if m.refuseOdd && len(b.MCs)%2 == 1 {
 		m.refusals++
 		return nil
@@ -108,11 +108,11 @@ func (staggerAdv) Delays(from int, sentAt int64, out []int64) int64 {
 // TestMixedBatchConsumersMatchLegacy runs two BatchConsumer kinds in one
 // run — even pids refuse to combine odd-sized batches, odd pids combine
 // every batch — sequentially and at several shard counts. The engine
-// must publish each cache from the first consumer that builds one, in
-// schedule order, whatever the shard count: Results equal RunLegacy's
-// (which never builds a cache), every machine's state equals the
-// sequential run's, and every cache goes back to the machine that built
-// it.
+// must publish each cache from the first of the batch's senders that
+// builds one, in batch order, when the batch forms, whatever the shard
+// count: Results equal RunLegacy's (which never builds a cache), every
+// machine's state equals the sequential run's, and every cache goes back
+// to the machine that built it.
 func TestMixedBatchConsumersMatchLegacy(t *testing.T) {
 	const p, tasks = 7, 64
 	run := func(engine func(Config, []Machine, Adversary) (*Result, error), shards int) (*Result, []gossip) {

@@ -188,9 +188,11 @@ type Resetter interface {
 // payload buffers. Knowledge-bearing machines rejoin by rebasing: the
 // next broadcast travels as a full (non-delta) snapshot and receivers'
 // stale per-sender cursors fall back to full merges, which is safe by
-// monotonicity. Machines without Rejoin are revived via Resetter when
-// they implement it, and with their pre-crash state otherwise (see
-// RejoinMachine).
+// monotonicity. A revive also zeroes the engine's build watermarks (see
+// BatchConsumer), so the next combined caches carry every sender's whole
+// knowledge to the rejoined machine. Machines without Rejoin are revived
+// via Resetter when they implement it, and with their pre-crash state
+// otherwise (see RejoinMachine).
 type Rejoiner interface {
 	Rejoin()
 }
@@ -280,22 +282,22 @@ func (v *View) Inbox(i int) []Delivery { return v.pending.pendingInbox(i) }
 // and consumed by reference by every live processor. Recipients skip
 // multicasts they sent themselves.
 //
-// Combined is the batch's shared knowledge cache: the engine asks the
-// first consumer that understands the payloads to fold the batch's whole
-// new knowledge into one accumulated structure (BatchConsumer.
-// BuildCombined) and publishes it here with Builder set to that
-// consumer's pid, so every later consumer pays one merge instead of one
-// per sender. The engine returns Combined to the builder machine via its
-// PayloadRecycler hook when the batch is retired. Machines only read a
-// Batch; published Combined values are immutable.
+// Combined is the batch's shared knowledge cache: when the batch forms,
+// the engine asks its senders' BatchConsumers, in batch order, to fold
+// the knowledge some consumer of the batch may lack into one accumulated
+// structure (BatchConsumer.BuildCombined), and publishes the first result
+// here with Builder set to that sender's pid, so every consumer pays one
+// merge instead of one per sender. The engine returns Combined to the
+// builder machine via its PayloadRecycler hook when the batch is retired.
+// Machines only read a Batch; published Combined values are immutable.
 type Batch struct {
 	// At is the delivery time shared by every multicast in the batch.
 	At int64
 	// MCs are the delivered multicasts in delivery order.
 	MCs []*Multicast
-	// Combined is the engine-published shared knowledge cache (nil until
-	// a consumer has built one); Builder is the pid whose machine built
-	// it and owns its buffers, -1 while unset.
+	// Combined is the engine-published shared knowledge cache (nil when
+	// no sender's machine could build one); Builder is the pid whose
+	// machine built it and owns its buffers, -1 while unset.
 	Combined any
 	Builder  int32
 	// remaining counts live processors that have not yet consumed the
@@ -313,26 +315,23 @@ type Batch struct {
 // still run under grouped delivery — their batches are materialized into
 // an ordinary inbox slice.
 //
-// BuildCombined returns b's combined knowledge cache, built from this
-// machine's receive-cursor state, without consuming the batch: the
-// machine's knowledge must not change, and its per-sender merge cursors
-// advance exactly as consuming b would advance them. The engine calls it
-// just before the machine's step for each pending batch that has no
-// cache yet, oldest first, and publishes the result (Batch.Combined,
-// Batch.Builder); the step then applies the published caches like any
-// later consumer, and monotone unions land it on the state a combined
-// build-and-apply would have. Because a build reads only the builder's
-// cursors and the batch's immutable payloads, the parallel tick makes
-// every build serially before its shards step (phase A1), and no step
-// ever writes a Batch. BuildCombined returns nil — mutating nothing
-// (aborted accumulation scratch excepted) — when this machine cannot
-// combine the batch's payloads; the batch then stays cache-less for the
-// next consumer, and every consumer handles a missing or foreign cache by
-// merging the batch's multicasts one by one.
+// BuildCombined returns b's combined knowledge cache, or nil when this
+// machine cannot combine the batch's payloads. The engine calls it once,
+// when b forms, on the senders' machines in batch order until one
+// returns a cache, and publishes that cache (Batch.Combined,
+// Batch.Builder); every consumer's step then applies it. since[j] is the
+// engine's build watermark for sender j: every consumer of b has already
+// merged, through earlier caches, sender j's knowledge up to version
+// since[j]. A build folds in each payload's knowledge newer than
+// since[from] and, only when it returns a cache, raises since[from] to
+// the payload's version; it reads no machine state besides the builder's
+// own buffer pool, so a cache depends on the batch and the watermarks
+// alone. A consumer that meets a missing or foreign cache merges the
+// batch's multicasts one by one.
 type BatchConsumer interface {
 	Machine
 	StepBatched(now int64, batches []*Batch, tail []Delivery) StepResult
-	BuildCombined(b *Batch) any
+	BuildCombined(b *Batch, since []int64) any
 }
 
 // Decision is the adversary's scheduling choice for one time unit. The
