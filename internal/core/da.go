@@ -126,8 +126,10 @@ func (m *DA) Step(now int64, inbox []sim.Delivery) sim.StepResult {
 // is new) and closes a word of parents at a time, so the result equals
 // the bottom-up recompute at new-knowledge cost.
 func (m *DA) StepBatched(now int64, batches []*sim.Batch, tail []sim.Delivery) sim.StepResult {
-	m.merge(batches, tail)
-	m.tree.Close(m.delta)
+	if len(batches) > 0 || len(tail) > 0 {
+		m.merge(batches, tail)
+		m.tree.Close(m.delta)
+	}
 	return m.advance()
 }
 
