@@ -5,7 +5,7 @@ import "time"
 // TickPhaseProfile is the accumulated wall-clock breakdown of the
 // parallel tick engine's three phases (see parallel.go): A1 is the
 // serial prefix (schedule filtering; combined caches are built at
-// delivery, before the tick, and are not timed here), A2 the parallel
+// delivery, before the schedule, and are not timed here), A2 the parallel
 // shard stepping, and B the serial tail (staged-reduction merge plus the
 // order-dependent residue).
 // Ticks counts the parallel ticks profiled;
