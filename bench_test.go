@@ -16,6 +16,7 @@
 package doall_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -84,6 +85,47 @@ func BenchmarkE2LowerBoundRand(b *testing.B) {
 	}
 	b.ReportMetric(float64(work), "forced-work")
 	b.ReportMetric(bounds.LowerBound(p, t, d), "omega-bound")
+}
+
+// BenchmarkStagePlan times the first stage start of each lower-bound
+// adversary at p=1024, t=2^16, d=8: one tick of a warmed reusable engine,
+// machines reset in place, where the adversary plans the stage (stage-det
+// clones every machine to look L steps ahead) and selects its protected
+// set among all 2^16 undone tasks. A fresh adversary per iteration keeps
+// its per-run arrays in the reported allocations.
+func BenchmarkStagePlan(b *testing.B) {
+	const p, t, d = 1024, 1 << 16, 8
+	cases := []struct {
+		name, algo string
+		adv        func() sim.Adversary
+	}{
+		{"stage-det", scenario.AlgoDA, func() sim.Adversary { return adversary.NewStageDeterministic(d, t) }},
+		{"stage-online", scenario.AlgoPaRan2, func() sim.Adversary { return adversary.NewStageOnline(d, t) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			ms, err := scenario.Scenario{Algorithm: c.algo, P: p, T: t, D: d, Seed: 7}.Machines()
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := sim.NewEngine()
+			cfg := sim.Config{P: p, T: t, MaxSteps: 1}
+			run := func() {
+				if !sim.ResetMachines(ms) {
+					b.Fatal("machines must be resettable")
+				}
+				if _, err := eng.Run(cfg, ms, c.adv()); !errors.Is(err, sim.ErrStepCap) {
+					b.Fatalf("one-tick run: %v", err)
+				}
+			}
+			run() // warm the engine's scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
 }
 
 // E3: contention of searched schedule lists (Lemma 4.1) and ObliDo's
@@ -439,9 +481,9 @@ func benchSteadyState1024(b *testing.B, ms []sim.Machine) {
 
 // BenchmarkVersionedMergeKernels pins the word-level union kernels under
 // the versioned knowledge plane's three merge regimes. The shapes mirror
-// what a p=65536 run does per delivery: full-width base unions (first
-// contact / post-rebase gap), short delta-chain suffixes (the steady
-// in-sequence path), and the base-plus-chain fallback a cursor gap forces.
+// what a p=65536 run does per delivery or batch: full-width base unions,
+// a combined-cache build's short delta-chain suffix above an in-sequence
+// build watermark, and the whole base-plus-chain merge a delivery makes.
 func BenchmarkVersionedMergeKernels(b *testing.B) {
 	const n = 1 << 20 // one knowledge set: 16 Ki words
 
@@ -471,12 +513,11 @@ func BenchmarkVersionedMergeKernels(b *testing.B) {
 		b.ReportMetric(float64(added), "bits-added")
 	})
 
-	// chain-suffix: the in-sequence Merger path — cursor at version 1,
-	// snapshot four delta segments ahead, so each Merge walks only the
-	// chain suffix. Strides are sized to stay under the rebase threshold
-	// (the suffix path must not silently become a base merge). Version 1
-	// holds one word, so setting the cursor by merging it costs one word
-	// per iteration next to the suffix's 4 Ki.
+	// chain-suffix: a combined-cache build above an in-sequence watermark
+	// — watermark at version 1, snapshot four delta segments ahead, so
+	// AccumulateInto walks only the chain suffix. Strides are sized to
+	// stay under the rebase threshold (the suffix path must not silently
+	// become a base accumulation).
 	b.Run("chain-suffix", func(b *testing.B) {
 		src := bitset.NewVersioned(n)
 		src.Set(0)
@@ -490,27 +531,22 @@ func BenchmarkVersionedMergeKernels(b *testing.B) {
 		}
 		tip := snaps[len(snaps)-1]
 		if tip.BaseVer() > s1.Ver() {
-			b.Fatalf("setup rebased (baseVer=%d > cursor=%d); shrink the rounds", tip.BaseVer(), s1.Ver())
+			b.Fatalf("setup rebased (baseVer=%d > watermark=%d); shrink the rounds", tip.BaseVer(), s1.Ver())
 		}
-		dst := bitset.NewVersioned(n)
-		m := bitset.NewMerger(1)
-		m.Merge(dst, 0, s1)
-		m.Merge(dst, 0, tip) // pre-merge: the timed loop measures the pure segment scans
+		acc := bitset.New(n)
+		idxs, _ := tip.AccumulateInto(acc, s1.Ver(), nil) // sizes idxs: the timed loop allocates nothing
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Reset()
-			m.Merge(dst, 0, s1)
-			m.Merge(dst, 0, tip)
+			idxs, _ = tip.AccumulateInto(acc, s1.Ver(), idxs[:0])
 		}
 		b.ReportMetric(float64(tip.ChainLen()), "chain-len")
 	})
 
-	// cursor-gap: the fallback — a cursor behind the snapshot's base
-	// version forces the full base union plus the whole chain. The source
-	// is grown through enough dirty words that Snapshot rebases, so the
-	// epoch genuinely has a base.
-	b.Run("cursor-gap", func(b *testing.B) {
+	// base-plus-chain: a delivery's merge — the full base union plus the
+	// whole chain. The source is grown through enough dirty words that
+	// Snapshot rebases, so the epoch genuinely has a base.
+	b.Run("base-plus-chain", func(b *testing.B) {
 		src := bitset.NewVersioned(n)
 		r := rand.New(rand.NewSource(2))
 		var snap *bitset.Snapshot
@@ -526,7 +562,7 @@ func BenchmarkVersionedMergeKernels(b *testing.B) {
 		if snap.Base() == nil || snap.BaseVer() == 0 {
 			b.Fatal("setup did not produce a rebased epoch; grow the rounds")
 		}
-		// One sparse round on top of the base, so the gap path walks a
+		// One sparse round on top of the base, so the merge walks a
 		// non-empty chain as well as the full base.
 		for i := 0; i < n; i += 4096 {
 			src.Set(i)
@@ -534,13 +570,11 @@ func BenchmarkVersionedMergeKernels(b *testing.B) {
 		src.Recycle(snap)
 		snap = src.Snapshot()
 		dst := bitset.NewVersioned(n)
-		m := bitset.NewMerger(1)
-		m.Merge(dst, 0, snap) // pre-merge; timed loop is the gap-path scan
+		dst.Merge(snap) // pre-merge; timed loop is the base-plus-chain scan
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Reset()
-			m.Merge(dst, 0, snap)
+			dst.Merge(snap)
 		}
 		b.ReportMetric(float64(snap.ChainLen()), "chain-len")
 	})

@@ -1,8 +1,9 @@
 package adversary
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"doall/internal/sim"
 )
@@ -51,6 +52,85 @@ func maxAdversarialStages(t int, base float64) int64 {
 	return int64(math.Ceil(math.Log(float64(t)+1) / math.Log(base)))
 }
 
+// stageSelect chooses a stage's protected set J_s for both lower-bound
+// adversaries: the k undone tasks with the lowest count (look-ahead
+// coverage or intent), ties broken by task id — ascending, or descending
+// with desc. Count then id is a strict total order, so the set is unique.
+// Only the c tasks some processor performs in the look-ahead or intends
+// have a nonzero count (c ≤ p·L or p), so the zero-count tasks are taken
+// straight off the ledger in tie order, and the counted tasks are sorted
+// only when the zero-count ones do not fill k: a stage costs
+// O(u + c log c) for u undone tasks. Every array is reused across stages.
+type stageSelect struct {
+	count   []int32 // count[z]; nonzero only for tasks listed in touched
+	touched []int32 // undone tasks with a nonzero count
+	in      []bool  // in[z] reports z ∈ J_s
+	n       int     // |J_s|
+}
+
+// begin clears the previous stage's counts and protected set for a
+// ledger of t tasks.
+func (s *stageSelect) begin(t int) {
+	if len(s.count) != t {
+		s.count = make([]int32, t)
+		s.in = make([]bool, t)
+	} else {
+		for _, z := range s.touched {
+			s.count[z] = 0
+		}
+		clear(s.in)
+	}
+	s.touched = s.touched[:0]
+	s.n = 0
+}
+
+// add counts one more coverage or intent of undone task z.
+func (s *stageSelect) add(z int) {
+	if s.count[z] == 0 {
+		s.touched = append(s.touched, int32(z))
+	}
+	s.count[z]++
+}
+
+// pick protects the k lowest-count undone tasks (all of them when k ≥ u).
+func (s *stageSelect) pick(tasks *sim.TaskLedger, k int, desc bool) {
+	k = min(k, tasks.Undone())
+	zeros := tasks.Undone() - len(s.touched)
+	take := min(k, zeros)
+	// In descending tie order the chosen zero-count tasks are the last
+	// take of them; skip the rest.
+	skip := 0
+	if desc {
+		skip = zeros - take
+	}
+	for z := tasks.NextUndone(0); z >= 0 && take > 0; z = tasks.NextUndone(z + 1) {
+		if s.count[z] != 0 {
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		s.in[z] = true
+		take--
+	}
+	if k > zeros {
+		slices.SortFunc(s.touched, func(x, y int32) int {
+			if c := cmp.Compare(s.count[x], s.count[y]); c != 0 {
+				return c
+			}
+			if desc {
+				return cmp.Compare(y, x)
+			}
+			return cmp.Compare(x, y)
+		})
+		for _, z := range s.touched[:k-zeros] {
+			s.in[z] = true
+		}
+	}
+	s.n = k
+}
+
 // StageDeterministic is the off-line adversary from the proof of Theorem
 // 3.1, applicable to deterministic algorithms whose machines implement
 // sim.Cloner. At the start of each stage it clones every live machine and
@@ -61,6 +141,9 @@ func maxAdversarialStages(t int, base float64) int64 {
 // ≈ u_s/(3L) low-coverage tasks and delays every processor that would touch
 // J_s for the entire stage. This forces u_{s+1} ≥ u_s/(3L) while ≥ p/3
 // processors run undelayed, yielding work Ω(p·min{d,t}·log_{d+1}(d+t)).
+// J_s is the lowest-coverage undone tasks with ties to lower ids (coverage
+// counts a processor's repeat performances), chosen by stageSelect in
+// O(u + pL log pL) per stage beyond the look-ahead itself.
 type StageDeterministic struct {
 	Bound int64
 	T     int
@@ -70,6 +153,12 @@ type StageDeterministic struct {
 	// delayed[i] reports that processor i is delayed for the current stage.
 	delayed  []bool
 	curStage int64
+	sel      stageSelect
+	// look holds the look-ahead sets J_s(i) back to back: processor i's
+	// undone performed tasks are look[start[i]:start[i+1]] (at most L,
+	// repeats kept).
+	look  []int32
+	start []int
 	// Stages counts adversarial stages actually executed (for reporting).
 	Stages int64
 }
@@ -134,9 +223,12 @@ func (a *StageDeterministic) planStage(v *sim.View) {
 	a.Stages++
 
 	// Look ahead: J_s(i) = tasks processor i would perform this stage.
-	cover := make(map[int]int, v.Undone()) // undone task -> #procs touching it
-	sets := make([]map[int]bool, v.P)
+	// Coverage counts every performance, a processor's repeats included.
+	a.sel.begin(v.Tasks.Len())
+	a.look = a.look[:0]
+	a.start = a.start[:0]
 	for i := 0; i < v.P; i++ {
+		a.start = append(a.start, len(a.look))
 		if v.Crashed[i] || v.Halted[i] {
 			continue
 		}
@@ -150,50 +242,29 @@ func (a *StageDeterministic) planStage(v *sim.View) {
 		if m == nil {
 			continue // cloning unsupported at runtime (e.g. PaRan2)
 		}
-		set := make(map[int]bool)
 		inbox := append([]sim.Delivery(nil), v.Inbox(i)...)
 		for k := int64(0); k < a.clock.L; k++ {
 			r := m.Step(v.Now+k, inbox)
 			inbox = nil
 			if z := r.PerformedTask(); z >= 0 && !v.Tasks.Done(z) {
-				set[z] = true
-				cover[z]++
+				a.look = append(a.look, int32(z))
+				a.sel.add(z)
 			}
 			if r.Halt {
 				break
 			}
 		}
-		sets[i] = set
 	}
+	a.start = append(a.start, len(a.look))
 
-	// Pigeonhole: pick the ⌈u/(3L)⌉ undone tasks with the lowest coverage.
-	type tc struct{ z, c int }
-	cand := make([]tc, 0, v.Undone())
-	for z := v.Tasks.NextUndone(0); z >= 0; z = v.Tasks.NextUndone(z + 1) {
-		cand = append(cand, tc{z, cover[z]})
-	}
-	sort.Slice(cand, func(x, y int) bool {
-		if cand[x].c != cand[y].c {
-			return cand[x].c < cand[y].c
-		}
-		return cand[x].z < cand[y].z
-	})
-	k := int(int64(v.Undone()) / (3 * a.clock.L))
-	if k < 1 {
-		k = 1
-	}
-	if k > len(cand) {
-		k = len(cand)
-	}
-	protected := make(map[int]bool, k)
-	for _, c := range cand[:k] {
-		protected[c.z] = true
-	}
+	// Pigeonhole: protect the ⌈u/(3L)⌉ undone tasks with the lowest
+	// coverage, ties to lower ids.
+	a.sel.pick(v.Tasks, max(1, int(int64(v.Undone())/(3*a.clock.L))), false)
 
 	// Delay every processor whose look-ahead set intersects J_s.
 	for i := 0; i < v.P; i++ {
-		for z := range sets[i] {
-			if protected[z] {
+		for _, z := range a.look[a.start[i]:a.start[i+1]] {
+			if a.sel.in[z] {
 				a.delayed[i] = true
 				break
 			}
@@ -209,13 +280,16 @@ func (a *StageDeterministic) planStage(v *sim.View) {
 // moment a processor's next intended task lies in J_s the processor is
 // delayed to the stage boundary. Lemma 3.3 guarantees that w.h.p. at
 // least p/64 processors run undelayed while all of J_s survives the
-// stage, forcing expected work Ω(p·min{d,t}·log_{d+1}(d+t)).
+// stage, forcing expected work Ω(p·min{d,t}·log_{d+1}(d+t)). J_s is the
+// least-intended undone tasks with ties to higher ids, chosen by
+// stageSelect in O(u + p log p) per stage; Schedule tests each intent
+// against it in O(1).
 type StageOnline struct {
 	Bound     int64
 	T         int
 	clock     stageClock
 	maxStages int64
-	protected map[int]bool
+	sel       stageSelect // J_s, empty while benign
 	delayed   []bool
 	curStage  int64
 	// Stages counts adversarial stages actually executed.
@@ -260,9 +334,9 @@ func (a *StageOnline) Schedule(v *sim.View, dec *sim.Decision) {
 			continue
 		}
 		// Adaptive rule: delay i the moment it intends a protected task.
-		if len(a.protected) > 0 {
+		if a.sel.n > 0 {
 			if ti, ok := v.Machines[i].(sim.TaskIntender); ok {
-				if z := ti.NextTask(); z >= 0 && a.protected[z] {
+				if z := ti.NextTask(); z >= 0 && a.sel.in[z] {
 					a.delayed[i] = true
 					continue
 				}
@@ -281,7 +355,7 @@ func (a *StageOnline) planStage(v *sim.View) {
 	for i := range a.delayed {
 		a.delayed[i] = false
 	}
-	a.protected = nil
+	a.sel.n = 0
 	if a.curStage >= a.maxStages || int64(v.Undone()) < a.clock.L+1 {
 		return
 	}
@@ -290,37 +364,16 @@ func (a *StageOnline) planStage(v *sim.View) {
 	// Choose J_s: the ⌈u/(L+1)⌉ undone tasks currently intended by the
 	// fewest processors (ties to higher ids, so the set is deterministic
 	// given the intents).
-	intent := make(map[int]int)
+	a.sel.begin(v.Tasks.Len())
 	for i := 0; i < v.P; i++ {
 		if v.Crashed[i] || v.Halted[i] {
 			continue
 		}
 		if ti, ok := v.Machines[i].(sim.TaskIntender); ok {
 			if z := ti.NextTask(); z >= 0 && !v.Tasks.Done(z) {
-				intent[z]++
+				a.sel.add(z)
 			}
 		}
 	}
-	type tc struct{ z, c int }
-	cand := make([]tc, 0, v.Undone())
-	for z := v.Tasks.NextUndone(0); z >= 0; z = v.Tasks.NextUndone(z + 1) {
-		cand = append(cand, tc{z, intent[z]})
-	}
-	sort.Slice(cand, func(x, y int) bool {
-		if cand[x].c != cand[y].c {
-			return cand[x].c < cand[y].c
-		}
-		return cand[x].z > cand[y].z
-	})
-	k := int(int64(v.Undone()) / (a.clock.L + 1))
-	if k < 1 {
-		k = 1
-	}
-	if k > len(cand) {
-		k = len(cand)
-	}
-	a.protected = make(map[int]bool, k)
-	for _, c := range cand[:k] {
-		a.protected[c.z] = true
-	}
+	a.sel.pick(v.Tasks, max(1, int(int64(v.Undone())/(a.clock.L+1))), true)
 }

@@ -104,36 +104,41 @@ func TestRejoinPreservesInFlightSnapshots(t *testing.T) {
 	}
 }
 
-// TestMergerAcrossRejoin asserts stale receiver cursors are safe across a
-// rejoin: a receiver that merged pre-crash versions falls back to a full
-// merge of the post-rejoin snapshot and ends up with the union of both
-// incarnations' knowledge (monotone knowledge is never retracted).
-func TestMergerAcrossRejoin(t *testing.T) {
+// TestMergeAcrossRejoin asserts merging across a sender's rejoin is safe:
+// a receiver that merged pre-crash versions merges the post-rejoin
+// snapshot whole and ends up with the union of both incarnations'
+// knowledge (monotone knowledge is never retracted), and a pre-crash
+// snapshot delivered late adds nothing.
+func TestMergeAcrossRejoin(t *testing.T) {
 	sender := NewVersioned(160)
 	dst := NewVersioned(160)
-	mg := NewMerger(4)
 
 	for i := 0; i < 30; i++ {
 		sender.Set(i)
 	}
 	s1 := sender.Snapshot()
-	if n := mg.Merge(dst, 1, s1); n != 30 {
+	if n := dst.Merge(s1); n != 30 {
 		t.Fatalf("pre-crash merge added %d bits, want 30", n)
 	}
-	cursor := s1.Ver() // the receiver's cursor after merging s1
-	sender.Recycle(s1)
 
 	sender.Rejoin()
 	for i := 100; i < 110; i++ {
 		sender.Set(i)
 	}
 	s2 := sender.Snapshot()
-	if s2.Ver() <= cursor {
-		t.Fatalf("post-rejoin version %d not above stale cursor %d", s2.Ver(), cursor)
+	if s2.Ver() <= s1.Ver() {
+		t.Fatalf("post-rejoin version %d not above pre-crash version %d", s2.Ver(), s1.Ver())
 	}
-	if n := mg.Merge(dst, 1, s2); n != 10 {
+	if s2.Base() == nil || s2.BaseVer() <= s1.Ver() {
+		t.Fatalf("post-rejoin snapshot has no fresh base (baseVer %d)", s2.BaseVer())
+	}
+	if n := dst.Merge(s2); n != 10 {
 		t.Fatalf("post-rejoin merge added %d bits, want 10", n)
 	}
+	if n := dst.Merge(s1); n != 0 {
+		t.Fatalf("late pre-crash merge added %d bits, want 0", n)
+	}
+	sender.Recycle(s1)
 	sender.Recycle(s2)
 	for i := 0; i < 30; i++ {
 		if !dst.Get(i) {

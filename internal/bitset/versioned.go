@@ -3,21 +3,18 @@ package bitset
 // This file implements the versioned knowledge plane: an epoch-versioned
 // bit set (Versioned) whose snapshots are immutable structural shares — a
 // full base copied once per epoch plus a chain of sparse delta segments,
-// one per snapshot — and the receiver-side cursor (Merger) that merges
-// only the words a recipient has not seen yet.
+// one per snapshot.
 //
 // A snapshot still *means* the owner's full set at the snapshot's version;
-// it is merely *represented* as base ∪ chain. A reader that knows the
-// sender's set at some older version consumes only the chain suffix newer
-// than that version — cost proportional to the new knowledge — and falls
-// back to a full base-plus-chain read on version gaps (first contact,
-// reordering across a rebase). Two readers use this: a receiver's Merger,
-// whose per-sender cursors record what its own merges consumed, and
-// Snapshot.AccumulateInto, which a combined batch cache is built with from
-// a watermark the caller keeps (the simulation engine's per-sender build
-// watermark). Because merges are monotone unions, a *stale* version is
-// always safe: it can only cause redundant (idempotent) merging, never a
-// missed word.
+// it is merely *represented* as base ∪ chain. A receiver merges a
+// delivered snapshot whole (Versioned.Merge, MergeCollect): the base, then
+// the chain. Only one reader walks just a chain suffix:
+// Snapshot.AccumulateInto, which builds a combined batch cache from a
+// watermark the caller keeps (the simulation engine's per-sender build
+// watermark), and falls back to the whole base and chain when the
+// watermark is behind the epoch base. Because merges are monotone unions,
+// a *stale* watermark is always safe: it can only cause redundant
+// (idempotent) merging, never a missed word.
 //
 // Buffer lifecycle: snapshots are pooled through Recycle — the simulation
 // engine hands a snapshot back to its owner once every recipient has
@@ -288,9 +285,9 @@ func (v *Versioned) arenaAlloc(ep *epoch, n int) []DeltaWord {
 // snapshot: the pending dirty words become this version's delta segment,
 // chained onto the epoch. When the epoch's accumulated delta volume
 // crosses the rebase threshold the snapshot instead starts a fresh epoch
-// whose base is a full copy — the full-merge fallback recipients see as a
-// version gap. The returned snapshot must be handed back via Recycle once
-// no reference to it remains.
+// whose base is a full copy, which a combined-cache build sees as a
+// version gap when its watermark is older. The returned snapshot must be
+// handed back via Recycle once no reference to it remains.
 func (v *Versioned) Snapshot() *Snapshot {
 	v.ver++
 	if len(v.dirty) > 0 {
@@ -442,14 +439,13 @@ func (v *Versioned) Reset() {
 // Rejoin clears the set for a crash-restart while keeping the version
 // counter monotone. It is the mid-run sibling of Reset: a revived
 // processor must forget its knowledge, but its pre-crash snapshots may
-// still be in flight, so versions must keep increasing — receivers whose
-// cursor points at a pre-crash version then see every post-rejoin
-// snapshot as a version gap and fall back to a full base-plus-chain
-// merge, which is exactly the rebase-on-revive rule. The current epoch is
-// retired (pooled once its outstanding snapshots drain) and replaced by
-// an empty-based epoch primed to rebase: the next Snapshot immediately
-// starts a fresh epoch whose base is a full copy, so it travels as a full
-// (non-delta) payload.
+// still be in flight, so versions must keep increasing — a watermark at a
+// pre-crash version then sees every post-rejoin snapshot as a version gap
+// and falls back to the full base and chain, which is exactly the
+// rebase-on-revive rule. The current epoch is retired (pooled once its
+// outstanding snapshots drain) and replaced by an empty-based epoch
+// primed to rebase: the next Snapshot immediately starts a fresh epoch
+// whose base is a full copy, so it travels as a full (non-delta) payload.
 func (v *Versioned) Rejoin() {
 	v.set.ClearAll()
 	// The pending dirty words describe pre-crash mutations of a set that
@@ -510,7 +506,7 @@ type Snapshot struct {
 func (s *Snapshot) Ver() int64 { return s.ver }
 
 // BaseVer returns the version at which the snapshot's epoch base was
-// captured; receivers whose cursor is older than this need a full merge.
+// captured; a watermark older than this needs the full base and chain.
 func (s *Snapshot) BaseVer() int64 { return s.ep.baseVer }
 
 // Len returns the capacity in bits.
@@ -603,99 +599,33 @@ func (s *Snapshot) AccumulateInto(acc *Set, since int64, idxs []int32) ([]int32,
 	return idxs, false
 }
 
-// Merger is the receiver-side cursor of the versioned knowledge plane:
-// last[i] is a lower bound on the newest version this receiver has merged
-// from sender i. Only the receiver's own per-delivery merges (Merge,
-// MergeCollect) move it; knowledge that arrives another way (a combined
-// batch cache) leaves it stale, and staleness is safe by monotonicity: a
-// stale cursor merges redundant (idempotent) words, never misses one.
-type Merger struct {
-	p    int
-	last []int64 // allocated on first use; nil means all cursors at 0
-}
-
-// NewMerger returns a cursor set for p senders, all at version 0. The
-// cursors serve per-delivery merges only, and under the engine's grouped
-// delivery most knowledge arrives through combined batch caches, so most
-// machines rarely or never merge per delivery; the array is allocated on
-// first use, since p machines × p senders of eager arrays would dominate
-// machine-construction garbage at large p.
-func NewMerger(p int) *Merger { return &Merger{p: p} }
-
-// ensure materializes the cursor array.
-func (m *Merger) ensure() []int64 {
-	if m.last == nil {
-		m.last = make([]int64, m.p)
-	}
-	return m.last
-}
-
-// Reset zeroes every cursor for a fresh execution.
-func (m *Merger) Reset() { clear(m.last) }
-
-// Clone returns an independent copy.
-func (m *Merger) Clone() *Merger {
-	c := &Merger{p: m.p}
-	if m.last != nil {
-		c.last = append([]int64(nil), m.last...)
-	}
-	return c
-}
-
-// Merge folds snapshot s from sender `from` into dst and returns the
-// number of bits newly set. In sequence (cursor ≥ base version) it merges
-// only the chain suffix newer than the cursor — cost proportional to the
-// new knowledge; behind the base (gap, first contact, stale cursor after
-// a rebase) it falls back to a full base-plus-chain merge. Versions at or
-// below the cursor merge nothing.
-func (m *Merger) Merge(dst *Versioned, from int, s *Snapshot) int {
-	last := m.ensure()
-	u := last[from]
-	if s.ver <= u {
-		return 0
-	}
+// Merge folds snapshot s's whole meaning into v — the epoch base, then
+// every delta segment newest first — and returns the number of bits newly
+// set. Merges are monotone unions, so a snapshot merged twice, or one
+// older than knowledge v already holds, adds nothing.
+func (v *Versioned) Merge(s *Snapshot) int {
 	added := 0
-	if u < s.ep.baseVer {
-		if s.ep.base != nil {
-			added += dst.UnionWith(s.ep.base)
-		}
-		for seg := s.head; seg != nil; seg = seg.prev {
-			added += dst.mergeSeg(seg)
-		}
-	} else {
-		for seg := s.head; seg != nil && seg.ver > u; seg = seg.prev {
-			added += dst.mergeSeg(seg)
-		}
+	if s.ep.base != nil {
+		added += v.UnionWith(s.ep.base)
 	}
-	last[from] = s.ver
+	for seg := s.head; seg != nil; seg = seg.prev {
+		added += v.mergeSeg(seg)
+	}
 	return added
 }
 
 // MergeCollect is Merge, appending every changed word (index and newly
 // set bits) to out — receivers that must react to individual new bits
 // (DA's progress-tree closure propagation) use it.
-func (m *Merger) MergeCollect(dst *Versioned, from int, s *Snapshot, out []DeltaWord) (int, []DeltaWord) {
-	last := m.ensure()
-	u := last[from]
-	if s.ver <= u {
-		return 0, out
-	}
+func (v *Versioned) MergeCollect(s *Snapshot, out []DeltaWord) (int, []DeltaWord) {
 	added, n := 0, 0
-	if u < s.ep.baseVer {
-		if s.ep.base != nil {
-			n, out = dst.UnionWithCollect(s.ep.base, out)
-			added += n
-		}
-		for seg := s.head; seg != nil; seg = seg.prev {
-			n, out = dst.mergeSegCollect(seg, out)
-			added += n
-		}
-	} else {
-		for seg := s.head; seg != nil && seg.ver > u; seg = seg.prev {
-			n, out = dst.mergeSegCollect(seg, out)
-			added += n
-		}
+	if s.ep.base != nil {
+		n, out = v.UnionWithCollect(s.ep.base, out)
+		added += n
 	}
-	last[from] = s.ver
+	for seg := s.head; seg != nil; seg = seg.prev {
+		n, out = v.mergeSegCollect(seg, out)
+		added += n
+	}
 	return added, out
 }

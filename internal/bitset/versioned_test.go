@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-// naiveReceiver mirrors a Merger-driven receiver with the semantics the
-// versioned plane must preserve: every delivered snapshot means the
+// naiveReceiver mirrors a receiver with the semantics the versioned plane
+// must preserve: every delivered snapshot means the
 // sender's full set, merged by a plain full-width union.
 type naiveReceiver struct {
 	set     *Set
@@ -22,7 +22,7 @@ func (r *naiveReceiver) merge(s *Snapshot) int {
 // TestQuickVersionedMergeEqualsNaiveUnion is the knowledge-plane
 // soundness property: for random mutation/snapshot schedules delivered
 // with reordering, drops, and the version gaps those induce (plus forced
-// rebases), merging through the versioned Merger leaves the receiver
+// rebases), Versioned.Merge leaves the receiver
 // set-equal to the naive full-bitset union after EVERY delivery — and
 // with the same newly-added-bit count, which PA's remain accounting
 // depends on.
@@ -38,7 +38,6 @@ func TestQuickVersionedMergeEqualsNaiveUnion(t *testing.T) {
 			senders[i] = NewVersioned(n)
 		}
 		recv := NewVersioned(n)
-		mg := NewMerger(nSenders)
 		naive := naiveReceiver{set: New(n), scratch: New(n)}
 
 		type pending struct {
@@ -66,7 +65,7 @@ func TestQuickVersionedMergeEqualsNaiveUnion(t *testing.T) {
 					senders[d.from].Recycle(d.s)
 					continue
 				}
-				got := mg.Merge(recv, d.from, d.s)
+				got := recv.Merge(d.s)
 				want := naive.merge(d.s)
 				senders[d.from].Recycle(d.s)
 				if got != want || !recv.Bits().Equal(naive.set) {
@@ -83,10 +82,12 @@ func TestQuickVersionedMergeEqualsNaiveUnion(t *testing.T) {
 	}
 }
 
-// TestQuickStaleCursorIsSafe pins the invariant the batched path relies
-// on: a receiver whose Merger cursor is arbitrarily stale (here: a fresh
-// Merger per delivery, so every cursor is 0) still converges to the naive
-// union — staleness costs redundant merging, never a missed word.
+// TestQuickStaleCursorIsSafe pins the invariant combined-cache builds rely
+// on: a receiver that folds each snapshot in through AccumulateInto from
+// an arbitrarily stale watermark — any version at or below the newest it
+// already holds from the sender — still converges to the naive union,
+// whether it applies the accumulation by its index list or full-width.
+// Staleness costs redundant merging, never a missed word.
 func TestQuickStaleCursorIsSafe(t *testing.T) {
 	f := func(seed int64, bitsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -94,15 +95,22 @@ func TestQuickStaleCursorIsSafe(t *testing.T) {
 		sender := NewVersioned(n)
 		recv := NewVersioned(n)
 		naive := naiveReceiver{set: New(n), scratch: New(n)}
+		var held int64 // newest sender version recv holds
 		for r := 0; r < 40; r++ {
 			for k := rng.Intn(3); k >= 0; k-- {
 				sender.Set(rng.Intn(n))
 			}
 			s := sender.Snapshot()
 			if rng.Intn(3) != 0 {
-				stale := NewMerger(1) // cursor 0: worst-case staleness
-				stale.Merge(recv, 0, s)
+				acc := New(n)
+				idxs, dense := s.AccumulateInto(acc, rng.Int63n(held+1), nil)
+				if dense {
+					recv.UnionWith(acc)
+				} else {
+					recv.MergeWords(acc, idxs)
+				}
 				naive.merge(s)
+				held = s.Ver()
 				if !recv.Bits().Equal(naive.set) {
 					return false
 				}
@@ -190,32 +198,9 @@ func TestVersionedResetRestartsVersioning(t *testing.T) {
 	if s.Ver() != 1 {
 		t.Fatalf("first post-reset snapshot ver = %d, want 1", s.Ver())
 	}
-	recv, mg := NewVersioned(70), NewMerger(1)
-	if added := mg.Merge(recv, 0, s); added != 1 || !recv.Get(65) || recv.Get(3) {
+	recv := NewVersioned(70)
+	if added := recv.Merge(s); added != 1 || !recv.Get(65) || recv.Get(3) {
 		t.Fatalf("post-reset merge: added=%d bits=%v", added, recv.Bits())
-	}
-}
-
-// TestMergerSkipsStaleVersions pins the O(1) duplicate/stale-delivery
-// path: re-merging an older snapshot after a newer one adds nothing.
-func TestMergerSkipsStaleVersions(t *testing.T) {
-	v := NewVersioned(64)
-	v.Set(1)
-	s1 := v.Snapshot()
-	v.Set(2)
-	s2 := v.Snapshot()
-
-	recv, mg := NewVersioned(64), NewMerger(1)
-	if added := mg.Merge(recv, 0, s2); added != 2 {
-		t.Fatalf("merge v2 added %d, want 2", added)
-	}
-	if added := mg.Merge(recv, 0, s1); added != 0 {
-		t.Fatalf("stale merge added %d, want 0", added)
-	}
-	// The cursor stayed at version 2: s2 merges nothing even into an
-	// empty set.
-	if added := mg.Merge(NewVersioned(64), 0, s2); added != 0 {
-		t.Fatalf("cursor moved below version 2: re-merging v2 added %d", added)
 	}
 }
 
@@ -237,8 +222,8 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("clone shares storage with original")
 	}
 	s := c.Snapshot()
-	recv, mg := NewVersioned(64), NewMerger(1)
-	mg.Merge(recv, 0, s)
+	recv := NewVersioned(64)
+	recv.Merge(s)
 	for _, want := range []int{1, 2, 4} {
 		if !recv.Get(want) {
 			t.Fatalf("clone snapshot lost bit %d: %v", want, recv.Bits())

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"doall/internal/bitset"
 	"doall/internal/perm"
 	"doall/internal/sim"
 	"doall/internal/tree"
@@ -21,10 +20,9 @@ import (
 //
 // The replica's node bits are an epoch-versioned set: a broadcast is an
 // immutable base-plus-delta-chain snapshot (O(changed words), not
-// O(nodes)), received snapshots merge through a per-sender version
-// cursor, and the interior-closure invariant is restored a word of
-// parents at a time from the newly merged bits instead of by an O(nodes)
-// recompute — per-delivery cost proportional to the new knowledge.
+// O(nodes)), received snapshots merge whole (base, then chain), and the
+// interior-closure invariant is restored a word of parents at a time
+// from the newly merged bits instead of by an O(nodes) recompute.
 //
 // Work is O(t·p^ε + p·min{t,d}·⌈t/d⌉^ε) for a suitable constant q and a
 // low-contention Σ (Theorems 5.4, 5.5); messages are O(p·W) (Theorem 5.6).
@@ -87,7 +85,7 @@ func NewDA(cfg DAConfig) ([]sim.Machine, error) {
 	for i := range ms {
 		tr, _ := tree.NewForTasksVersioned(cfg.Q, jobs.N)
 		m := &DA{
-			knowledge: knowledge{pid: i, trees: true, vers: tr.Versioned(), mg: bitset.NewMerger(cfg.P)},
+			knowledge: knowledge{pid: i, trees: true, vers: tr.Versioned()},
 			q:         cfg.Q,
 			perms:     cfg.Perms,
 			digits:    qDigits(i, cfg.Q, tr.Height()),
@@ -236,7 +234,6 @@ func (m *DA) CloneMachine() sim.Machine {
 // capacity are kept), after which it replays the exact same traversal.
 func (m *DA) Reset() {
 	m.tree.ResetPadded(m.jobs.N)
-	m.mg.Reset()
 	m.stack = m.stack[:0]
 	m.stack = append(m.stack, daFrame{node: m.tree.Root(), depth: 0})
 	m.unit = 0
@@ -246,12 +243,10 @@ func (m *DA) Reset() {
 // Rejoin implements sim.Rejoiner: crash-restart re-entry with a fresh
 // replica. The tree rejoins through the versioned set (versions stay
 // monotone, padding leaves re-marked, the next broadcast is a full
-// rebase — in-flight pre-crash snapshots stay valid), the per-sender
-// cursors are zeroed, and the traversal restarts at the root with the
-// same deterministic permutation digits.
+// rebase — in-flight pre-crash snapshots stay valid), and the traversal
+// restarts at the root with the same deterministic permutation digits.
 func (m *DA) Rejoin() {
 	m.tree.RejoinPadded(m.jobs.N)
-	m.mg.Reset()
 	m.stack = m.stack[:0]
 	m.stack = append(m.stack, daFrame{node: m.tree.Root(), depth: 0})
 	m.unit = 0

@@ -6,18 +6,17 @@ import (
 )
 
 // knowledge is the knowledge plane PA and DA share, embedded in both: the
-// versioned set a machine snapshots into its multicasts, the per-sender
-// cursors of its per-delivery merges, and the combined batch caches it
-// builds for the engine. PA's payloads are DoneSets and DA's are
-// TreeSnapshots; a plane merges and combines only its own kind at its own
-// length. DA's merges append the words they changed (their newly set
-// bits) to delta, which DA closes its progress tree over; PA only counts
-// new bits, through the faster non-collecting kernels.
+// versioned set a machine snapshots into its multicasts and merges
+// deliveries into, and the combined batch caches it builds for the
+// engine. PA's payloads are DoneSets and DA's are TreeSnapshots; a plane
+// merges and combines only its own kind at its own length. DA's merges
+// append the words they changed (their newly set bits) to delta, which DA
+// closes its progress tree over; PA only counts new bits, through the
+// faster non-collecting kernels.
 type knowledge struct {
 	pid   int
 	trees bool // TreeSnapshot payloads (DA); DoneSet payloads otherwise (PA)
 	vers  *bitset.Versioned
-	mg    *bitset.Merger
 	delta []bitset.DeltaWord
 	free  []*knowledgeCombined // pooled caches this machine built
 }
@@ -76,12 +75,12 @@ func (k *knowledge) merge(batches []*sim.Batch, tail []sim.Delivery) int {
 		}
 		for _, mc := range b.MCs {
 			if mc.From != k.pid {
-				added += k.mergeOne(mc.From, mc.Payload)
+				added += k.mergeOne(mc.Payload)
 			}
 		}
 	}
 	for _, d := range tail {
-		added += k.mergeOne(d.From(), d.Payload())
+		added += k.mergeOne(d.Payload())
 	}
 	return added
 }
@@ -102,15 +101,15 @@ func (k *knowledge) apply(c *knowledgeCombined) (n int) {
 	return n
 }
 
-// mergeOne merges one delivered payload through the sender's cursor.
-func (k *knowledge) mergeOne(from int, payload any) (n int) {
+// mergeOne merges one delivered payload whole: its epoch base and chain.
+func (k *knowledge) mergeOne(payload any) (n int) {
 	s := k.snap(payload)
 	switch {
 	case s == nil:
 	case !k.trees:
-		n = k.mg.Merge(k.vers, from, s)
+		n = k.vers.Merge(s)
 	default:
-		n, k.delta = k.mg.MergeCollect(k.vers, from, s, k.delta)
+		n, k.delta = k.vers.MergeCollect(s, k.delta)
 	}
 	return n
 }
@@ -196,8 +195,8 @@ func (k *knowledge) putCache(c *knowledgeCombined) {
 	k.free = append(k.free, c)
 }
 
-// clone returns a copy of the plane over vers, the clone's own set, with
-// independent cursors; pooled buffers stay with the original.
+// clone returns a copy of the plane over vers, the clone's own set;
+// pooled buffers stay with the original.
 func (k *knowledge) clone(vers *bitset.Versioned) knowledge {
-	return knowledge{pid: k.pid, trees: k.trees, vers: vers, mg: k.mg.Clone()}
+	return knowledge{pid: k.pid, trees: k.trees, vers: vers}
 }

@@ -19,12 +19,12 @@ import (
 // consumes them).
 //
 // The done-set is an epoch-versioned bit set (bitset.Versioned): each
-// broadcast snapshots it as an immutable base-plus-delta-chain share, and
-// received snapshots are merged through a per-sender version cursor
-// (bitset.Merger), so a delivery costs words-changed, not words-total.
-// Under the engine's grouped delivery path (sim.BatchConsumer) a whole
-// delivery group is merged as one combined union, built once per group
-// when it forms (the knowledge plane it shares with DA).
+// broadcast snapshots it as an immutable base-plus-delta-chain share, so
+// a broadcast costs words-changed, not words-total, and a received
+// snapshot is merged whole (base, then chain). Under the engine's grouped
+// delivery path (sim.BatchConsumer) a whole delivery group is merged as
+// one combined union, built once per group when it forms from only the
+// knowledge its consumers lack (the knowledge plane it shares with DA).
 //
 // The three family members differ only in the Selector:
 //
@@ -163,7 +163,7 @@ func NewPaRan1Sharded(p, t int, seed int64, shards int) []sim.Machine {
 		for i := lo; i < hi; i++ {
 			src.Seed(seed + int64(i))
 			order := sh.Into(&src, backing[i*jobs.N:])
-			ms[i] = newPA(i, p, jobs, &permSelector{order: order})
+			ms[i] = newPA(i, jobs, &permSelector{order: order})
 		}
 	})
 	return ms
@@ -187,7 +187,7 @@ func NewPaRan2Sharded(p, t int, seed int64, shards int) []sim.Machine {
 		for i := lo; i < hi; i++ {
 			srcs[i].Seed(seed + int64(i))
 			r := rand.New(&srcs[i])
-			ms[i] = newPA(i, p, jobs, &randSelector{rng: r, seed: seed + int64(i), committed: -1})
+			ms[i] = newPA(i, jobs, &randSelector{rng: r, seed: seed + int64(i), committed: -1})
 		}
 	})
 	return ms
@@ -231,7 +231,7 @@ func NewPaDet(p, t int, l perm.List) ([]sim.Machine, error) {
 	orders := int32Orders(l)
 	ms := make([]sim.Machine, p)
 	for i := range ms {
-		ms[i] = newPA(i, p, jobs, &permSelector{order: orders[i%len(l)]})
+		ms[i] = newPA(i, jobs, &permSelector{order: orders[i%len(l)]})
 	}
 	return ms, nil
 }
@@ -251,9 +251,9 @@ func int32Orders(l perm.List) [][]int32 {
 	return orders
 }
 
-func newPA(pid, p int, jobs Jobs, sel selector) *PA {
+func newPA(pid int, jobs Jobs, sel selector) *PA {
 	return &PA{
-		knowledge: knowledge{pid: pid, vers: bitset.NewVersioned(jobs.N), mg: bitset.NewMerger(p)},
+		knowledge: knowledge{pid: pid, vers: bitset.NewVersioned(jobs.N)},
 		jobs:      jobs,
 		remain:    jobs.N,
 		selector:  sel,
@@ -367,7 +367,6 @@ func (m *PA) CloneMachine() sim.Machine {
 // their schedules, PaRan2 re-seeds its random source.
 func (m *PA) Reset() {
 	m.vers.Reset()
-	m.mg.Reset()
 	m.remain = m.jobs.N
 	m.selector.reset(true)
 	m.cur = -1
@@ -379,15 +378,11 @@ func (m *PA) Reset() {
 // crash-restart with fresh initial knowledge. Unlike Reset it runs
 // mid-execution, while pre-crash done-set snapshots may still be in
 // flight, so the versioned set rejoins instead of resetting — versions
-// stay monotone, the next broadcast travels as a full rebase, and
-// receivers' stale cursors fall back to full merges. The machine's own
-// per-sender cursors are zeroed (its knowledge is gone, so every peer
-// must be re-merged from the base), and the permutation position is
-// re-seeded deterministically via the selector's reset; PaRan2's random
-// stream continues.
+// stay monotone and the next broadcast travels as a full rebase. The
+// permutation position is re-seeded deterministically via the selector's
+// reset; PaRan2's random stream continues.
 func (m *PA) Rejoin() {
 	m.vers.Rejoin()
-	m.mg.Reset()
 	m.remain = m.jobs.N
 	m.selector.reset(false)
 	m.cur = -1

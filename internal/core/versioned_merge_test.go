@@ -90,8 +90,8 @@ func TestQuickDoneSetMergeMatchesNaive(t *testing.T) {
 		// Two observers — one merging per delivery, one through batches —
 		// plus the naive shadow.
 		jobs := NewJobs(p, tasks)
-		eager := newPA(p, p+1, jobs, &permSelector{order: int32Orders(perm.List{perm.Identity(jobs.N)})[0]})
-		batched := newPA(p, p+1, jobs, &permSelector{order: int32Orders(perm.List{perm.Identity(jobs.N)})[0]})
+		eager := newPA(p, jobs, &permSelector{order: int32Orders(perm.List{perm.Identity(jobs.N)})[0]})
+		batched := newPA(p, jobs, &permSelector{order: int32Orders(perm.List{perm.Identity(jobs.N)})[0]})
 		shadow := bitset.New(jobs.N)
 		scratch := bitset.New(jobs.N)
 		since := make([]int64, p+1)
@@ -148,7 +148,7 @@ func TestQuickTreeSnapshotMergeMatchesNaive(t *testing.T) {
 		mkObserver := func() *DA {
 			tr, _ := tree.NewForTasksVersioned(2, jobs.N)
 			return &DA{
-				knowledge: knowledge{pid: p, trees: true, vers: tr.Versioned(), mg: bitset.NewMerger(p + 1)},
+				knowledge: knowledge{pid: p, trees: true, vers: tr.Versioned()},
 				q:         2, perms: perm.RotationList(2, 2),
 				digits: qDigits(p, 2, tr.Height()),
 				tree:   tr, jobs: jobs,

@@ -14,8 +14,10 @@ import (
 // native engine: for every algorithm × adversary pair, sim.Run reproduces
 // sim.RunLegacy's Result exactly — Work, Messages, SolvedAt, primary and
 // secondary executions, byte volume, per-processor work, everything.
-// Machines and adversaries are rebuilt from identical seeds for each
-// engine so both executions start from identical state.
+// Both executions start from identical state: machines are built once,
+// and sim.Run gets deep copies (sim.CloneMachines) taken before either
+// run, or a rebuild from the same seed when some machine does not clone
+// (PaRan2); each engine gets a fresh adversary.
 func TestEngineEquivalence(t *testing.T) {
 	algos := []string{scenario.AlgoAllToAll, scenario.AlgoObliDo, scenario.AlgoDA, scenario.AlgoPaRan1, scenario.AlgoPaRan2, scenario.AlgoPaDet}
 	// p=130, t=260 gives 130 jobs, so knowledge sets span several words
@@ -31,8 +33,18 @@ func TestEngineEquivalence(t *testing.T) {
 					sc := scenario.Scenario{Algorithm: algo, P: size.p, T: size.t, D: d, Seed: 17}
 					name := fmt.Sprintf("%s/p%d-t%d-d%d/%s", algo, size.p, size.t, d, advName)
 					t.Run(name, func(t *testing.T) {
-						legacy, errL := runEquivCase(sc, advName, sim.RunLegacy)
-						fresh, errN := runEquivCase(sc, advName, sim.Run)
+						ms, err := sc.Machines()
+						if err != nil {
+							t.Fatalf("build machines: %v", err)
+						}
+						clones, ok := sim.CloneMachines(ms)
+						if !ok {
+							if clones, err = sc.Machines(); err != nil {
+								t.Fatalf("rebuild machines: %v", err)
+							}
+						}
+						legacy, errL := runEquivCase(sc, advName, ms, sim.RunLegacy)
+						fresh, errN := runEquivCase(sc, advName, clones, sim.Run)
 						if (errL == nil) != (errN == nil) {
 							t.Fatalf("error mismatch: legacy=%v new=%v", errL, errN)
 						}
@@ -46,13 +58,9 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// runEquivCase builds fresh machines and a fresh adversary for the
-// scenario and executes them with the given engine.
-func runEquivCase(s scenario.Scenario, advName string, engine func(sim.Config, []sim.Machine, sim.Adversary) (*sim.Result, error)) (*sim.Result, error) {
-	ms, err := s.Machines()
-	if err != nil {
-		return nil, fmt.Errorf("build machines: %w", err)
-	}
+// runEquivCase builds a fresh adversary for the scenario and executes
+// machines ms with it on the given engine.
+func runEquivCase(s scenario.Scenario, advName string, ms []sim.Machine, engine func(sim.Config, []sim.Machine, sim.Adversary) (*sim.Result, error)) (*sim.Result, error) {
 	adv, err := buildEquivAdversary(s, advName)
 	if err != nil {
 		return nil, err

@@ -253,3 +253,40 @@ func TestStageDetPins(t *testing.T) {
 		}
 	}
 }
+
+// TestStageAdversaryPins pins both lower-bound adversaries at the
+// benchmark's stage shapes (t = 2^16, d = 8, seed 7) at shards 1 and 2,
+// where stage planning selects among tens of thousands of undone tasks.
+// The digests were recorded before the stage selection stopped sorting
+// every undone task.
+func TestStageAdversaryPins(t *testing.T) {
+	pins := map[string]string{
+		"DA/stage-online/p=256":      "w=77149 m=65280 σ=304 steps=77149 msgs=65280 B=1559580 first=38af5d4dfe2c10e6",
+		"DA/stage-online/p=1024":     "w=112581 m=1047552 σ=112 steps=112581 msgs=1047552 B=47666685 first=4d2d4b32e7124569",
+		"PaRan2/stage-online/p=256":  "w=195366 m=159375 σ=768 steps=195366 msgs=159375 B=5504685 first=38ab1f4c12a32775",
+		"PaRan2/stage-online/p=1024": "w=193589 m=2440878 σ=192 steps=193589 msgs=2440878 B=235416852 first=6b3982062ad5c666",
+		"DA/stage-det/p=256":         "w=67840 m=65280 σ=264 steps=67840 msgs=65280 B=1109760 first=8555f151b4be2b25",
+		"DA/stage-det/p=1024":        "w=82944 m=1047552 σ=80 steps=82944 msgs=1047552 B=17808384 first=9e8d6d56a3fa2325",
+	}
+	cells := []struct{ algo, adv string }{
+		{AlgoDA, AdvStageOnline}, {AlgoPaRan2, AdvStageOnline}, {AlgoDA, AdvStageDet},
+	}
+	for _, c := range cells {
+		for _, p := range []int{256, 1024} {
+			key := fmt.Sprintf("%s/%s/p=%d", c.algo, c.adv, p)
+			t.Run(key, func(t *testing.T) {
+				sc := Scenario{Algorithm: c.algo, Adversary: c.adv, P: p, T: 1 << 16, D: 8, Seed: 7}
+				for _, shards := range []int{1, 2} {
+					sc.Shards = shards
+					res, err := Run(sc)
+					if err != nil {
+						t.Fatalf("shards=%d: %v", shards, err)
+					}
+					if got := kernelDigest(res.Sim); got != pins[key] {
+						t.Errorf("shards=%d:\n got %s\nwant %s", shards, got, pins[key])
+					}
+				}
+			})
+		}
+	}
+}

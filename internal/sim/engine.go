@@ -503,8 +503,8 @@ func (e *Engine) pending(i int) []*Batch {
 // nothing, and the next caches carry every sender's whole knowledge. A
 // batch holding a multicast its sender sent before reviving gets no
 // cache, and its consumers merge it one multicast at a time: the sender
-// skips its own forgotten knowledge, and each receiver's cursor decides
-// whether the older life is news to it. Machines only read a Batch, so
+// skips its own forgotten knowledge, and each receiver merges the older
+// life's snapshots whole. Machines only read a Batch, so
 // every step meets the same caches whatever the shard count.
 func (e *Engine) buildCache(b *Batch) {
 	for _, mc := range b.MCs {

@@ -186,9 +186,8 @@ type Resetter interface {
 // snapshots the machine broadcast before crashing may still be in flight,
 // so implementations must not invalidate or recycle previously published
 // payload buffers. Knowledge-bearing machines rejoin by rebasing: the
-// next broadcast travels as a full (non-delta) snapshot and receivers'
-// stale per-sender cursors fall back to full merges, which is safe by
-// monotonicity. A revive also zeroes the engine's build watermarks (see
+// next broadcast travels as a full (non-delta) snapshot, and merging
+// older snapshots too is safe by monotonicity. A revive also zeroes the engine's build watermarks (see
 // BatchConsumer), so the next combined caches carry every sender's whole
 // knowledge to the rejoined machine. Machines without Rejoin are revived
 // via Resetter when they implement it, and with their pre-crash state
