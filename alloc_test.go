@@ -185,6 +185,57 @@ func TestZeroSteadyStateAllocsDA1024(t *testing.T) {
 	assertZeroSteadyStateAllocs(t, "DA-1024/fair", ms, adversary.NewFair(4), p, tasks)
 }
 
+// skewFill schedules every live processor each unit and gives each copy
+// a delay that depends on sender, recipient and send time, so every
+// broadcast splits into several delay classes: the engine's per-recipient
+// path, deterministically (a stateless fill replays under reset).
+type skewFill struct{ d int64 }
+
+func (a skewFill) D() int64 { return a.d }
+
+func (a skewFill) Schedule(v *sim.View, dec *sim.Decision) {
+	for i := 0; i < v.P; i++ {
+		if !v.Crashed[i] && !v.Halted[i] {
+			dec.Active = append(dec.Active, i)
+		}
+	}
+}
+
+func (a skewFill) Delays(from int, sentAt int64, out []int64) int64 {
+	for j := range out {
+		if j != from {
+			out[j] = 1 + (int64(from+3*j)+sentAt)%a.d
+		}
+	}
+	return 0
+}
+
+// TestZeroSteadyStateAllocsPerRecipient gates per-recipient delays: DA and
+// PaRan1 at p=64 and p=256, under a filling adversary (one wheel event per
+// delay class, recipient orders pooled by the engine, inbox deliveries
+// sharing units with batches) and under omitting(fair) (omitted copies),
+// run allocation-free once warmed up.
+func TestZeroSteadyStateAllocsPerRecipient(t *testing.T) {
+	const d = 4
+	for _, p := range []int{64, 256} {
+		tasks := 4 * p
+		for _, algo := range []string{scenario.AlgoDA, scenario.AlgoPaRan1} {
+			sc := scenario.Scenario{Algorithm: algo, P: p, T: tasks, D: d, Seed: 42, Adversary: "omitting(fair)"}
+			omitting, err := sc.BuildAdversary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, adv := range []sim.Adversary{skewFill{d: d}, omitting} {
+				ms, err := sc.Machines()
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertZeroSteadyStateAllocs(t, fmt.Sprintf("%s-%d/%T", algo, p, adv), ms, adv, p, tasks)
+			}
+		}
+	}
+}
+
 // TestLargeShapeSmokePaRan1 is the large-shape smoke cell CI runs as a
 // dedicated -short job: one PaRan1 p=2048/t=65536 sweep cell through the
 // public Scenario path, solved and plausible. Full (non-short) runs add

@@ -436,7 +436,7 @@ func benchBuild(b *testing.B, build func(p, t int, seed int64, shards int) []sim
 // adversary on one warmed reusable engine — the grouped delivery path
 // and the versioned knowledge plane end to end, still at 0 allocs/op.
 func BenchmarkEngineSteadyStatePA1024(b *testing.B) {
-	benchSteadyState1024(b, doall.NewPaRan1(1024, 65536, 42))
+	benchSteadyState1024(b, doall.NewPaRan1(1024, 65536, 42), adversary.NewFair(8))
 }
 
 // BenchmarkEngineSteadyStatePaRan2_1024 is the same shape for PaRan2,
@@ -444,14 +444,21 @@ func BenchmarkEngineSteadyStatePA1024(b *testing.B) {
 // rank/select over the done-set's words. Its reset machines re-seed
 // their random sources, so each iteration replays the same trial.
 func BenchmarkEngineSteadyStatePaRan2_1024(b *testing.B) {
-	benchSteadyState1024(b, doall.NewPaRan2(1024, 65536, 42))
+	benchSteadyState1024(b, doall.NewPaRan2(1024, 65536, 42), adversary.NewFair(8))
 }
 
-// benchSteadyState1024 times whole re-runs of ms (p=1024, t=65536, fair,
-// d=8) on one warmed reusable engine, machines reset in place.
-func benchSteadyState1024(b *testing.B, ms []sim.Machine) {
-	const p, t, d = 1024, 65536, 8
-	adv := adversary.NewFair(d)
+// BenchmarkEngineSteadyStatePaRan2_1024Skew is the PaRan2 shape under a
+// filling adversary whose delays depend on the recipient (skewFill, d=8):
+// every broadcast is eight delay classes, one wheel event each, fanned
+// into inboxes — still 0 allocs/op.
+func BenchmarkEngineSteadyStatePaRan2_1024Skew(b *testing.B) {
+	benchSteadyState1024(b, doall.NewPaRan2(1024, 65536, 42), skewFill{d: 8})
+}
+
+// benchSteadyState1024 times whole re-runs of ms (p=1024, t=65536, d=8)
+// under adv on one warmed reusable engine, machines reset in place.
+func benchSteadyState1024(b *testing.B, ms []sim.Machine, adv sim.Adversary) {
+	const p, t = 1024, 65536
 	eng := sim.NewEngine()
 	// Pool and slice capacities converge over the first few runs at this
 	// shape (buffer-to-use pairings shift until every pooled buffer has

@@ -314,7 +314,7 @@ func (v *Versioned) Snapshot() *Snapshot {
 	} else {
 		s = new(Snapshot)
 	}
-	*s = Snapshot{owner: v, ep: ep, ver: v.ver, head: ep.head}
+	*s = Snapshot{owner: v, ep: ep, ver: v.ver, head: ep.head, n: v.set.n}
 	ep.outstanding++
 	return s
 }
@@ -500,6 +500,7 @@ type Snapshot struct {
 	ep    *epoch
 	ver   int64
 	head  *segment
+	n     int // capacity in bits, read without chasing the owner
 }
 
 // Ver returns the snapshot's version.
@@ -510,7 +511,7 @@ func (s *Snapshot) Ver() int64 { return s.ver }
 func (s *Snapshot) BaseVer() int64 { return s.ep.baseVer }
 
 // Len returns the capacity in bits.
-func (s *Snapshot) Len() int { return s.owner.set.n }
+func (s *Snapshot) Len() int { return s.n }
 
 // Base returns the epoch's immutable base set (nil = empty base).
 func (s *Snapshot) Base() *Set { return s.ep.base }
@@ -553,7 +554,7 @@ func (s *Snapshot) ChainLen() int {
 // Materialize overwrites dst with the snapshot's full meaning: the
 // owner's complete set at version Ver.
 func (s *Snapshot) Materialize(dst *Set) {
-	if dst.n != s.owner.set.n {
+	if dst.n != s.n {
 		panic("bitset: Materialize length mismatch")
 	}
 	if s.ep.base != nil {

@@ -14,10 +14,11 @@ import (
 // native engine: for every algorithm × adversary pair, sim.Run reproduces
 // sim.RunLegacy's Result exactly — Work, Messages, SolvedAt, primary and
 // secondary executions, byte volume, per-processor work, everything.
-// Both executions start from identical state: machines are built once,
-// and sim.Run gets deep copies (sim.CloneMachines) taken before either
-// run, or a rebuild from the same seed when some machine does not clone
-// (PaRan2); each engine gets a fresh adversary.
+// Both executions start from identical state: one pristine machine set
+// is built per (algorithm, size, d), and each engine of each case gets
+// its own deep copy (sim.CloneMachines), or a rebuild from the same seed
+// when some machine does not clone (PaRan2); each engine gets a fresh
+// adversary.
 func TestEngineEquivalence(t *testing.T) {
 	algos := []string{scenario.AlgoAllToAll, scenario.AlgoObliDo, scenario.AlgoDA, scenario.AlgoPaRan1, scenario.AlgoPaRan2, scenario.AlgoPaDet}
 	// p=130, t=260 gives 130 jobs, so knowledge sets span several words
@@ -29,22 +30,28 @@ func TestEngineEquivalence(t *testing.T) {
 	for _, algo := range algos {
 		for _, size := range sizes {
 			for _, d := range []int64{1, 3} {
+				sc := scenario.Scenario{Algorithm: algo, P: size.p, T: size.t, D: d, Seed: 17}
+				// PaDet's build runs the d-contention search (0.1–0.2 s at
+				// p=130), so it runs once here, not once per case.
+				pristine, err := sc.Machines()
+				if err != nil {
+					t.Fatalf("%s/p%d-t%d-d%d: build machines: %v", algo, size.p, size.t, d, err)
+				}
+				machines := func(t *testing.T) []sim.Machine {
+					if ms, ok := sim.CloneMachines(pristine); ok {
+						return ms
+					}
+					ms, err := sc.Machines()
+					if err != nil {
+						t.Fatalf("rebuild machines: %v", err)
+					}
+					return ms
+				}
 				for _, advName := range advs {
-					sc := scenario.Scenario{Algorithm: algo, P: size.p, T: size.t, D: d, Seed: 17}
 					name := fmt.Sprintf("%s/p%d-t%d-d%d/%s", algo, size.p, size.t, d, advName)
 					t.Run(name, func(t *testing.T) {
-						ms, err := sc.Machines()
-						if err != nil {
-							t.Fatalf("build machines: %v", err)
-						}
-						clones, ok := sim.CloneMachines(ms)
-						if !ok {
-							if clones, err = sc.Machines(); err != nil {
-								t.Fatalf("rebuild machines: %v", err)
-							}
-						}
-						legacy, errL := runEquivCase(sc, advName, ms, sim.RunLegacy)
-						fresh, errN := runEquivCase(sc, advName, clones, sim.Run)
+						legacy, errL := runEquivCase(sc, advName, machines(t), sim.RunLegacy)
+						fresh, errN := runEquivCase(sc, advName, machines(t), sim.Run)
 						if (errL == nil) != (errN == nil) {
 							t.Fatalf("error mismatch: legacy=%v new=%v", errL, errN)
 						}

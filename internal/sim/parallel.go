@@ -46,10 +46,10 @@ import "time"
 // fewer than two runnable machines.
 
 // shardBlock is one shard's private scratch: the worker's wake channel,
-// materialization scratch for non-BatchConsumer machines, and the staged
-// accounting counters. The leading and trailing pads keep neighboring
-// blocks in the engine's shard slice from sharing cache lines, so
-// concurrent counter writes never false-share.
+// materialization scratch for non-BatchConsumer machines (block 0's also
+// backs View.Inbox), and the staged accounting counters. The leading and
+// trailing pads keep neighboring blocks in the engine's shard slice from
+// sharing cache lines, so concurrent counter writes never false-share.
 type shardBlock struct {
 	_       [64]byte
 	wake    chan struct{} // nil until the shard's worker is launched (shard 0 has none)

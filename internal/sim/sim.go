@@ -64,6 +64,12 @@ type Multicast struct {
 	// back to the sender if it implements PayloadRecycler). Only the
 	// multicast engine maintains it.
 	outstanding int32
+	// order is 1 + the index of the engine's recipient order (kept
+	// recipients by delay, then id) while a per-recipient broadcast has
+	// delay classes in flight, else 0; an index keeps the record 48 bytes.
+	order int32
+	// seq is the send sequence: one unit's deliveries arrive in seq order.
+	seq int64
 }
 
 // Delivery is one delivered message in a processor's inbox: a reference
@@ -253,7 +259,7 @@ type View struct {
 	Machines []Machine
 	// Crashed[i] and Halted[i] report processor i's status.
 	Crashed, Halted []bool
-	// InFlight is the number of undelivered messages.
+	// InFlight is the number of message copies in flight.
 	InFlight int
 	// pending answers Inbox for the engine that built the view.
 	pending inboxSource

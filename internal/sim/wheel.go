@@ -1,12 +1,20 @@
 package sim
 
-// wevent is one timing-wheel entry: either a single-recipient delivery
-// (to ≥ 0) or a whole uniform-delay multicast (to < 0, delivered to every
-// processor but mc.From). Grouping a uniform multicast into one event is
-// what makes a broadcast O(1) queue work instead of O(p).
+// wevent is one timing-wheel entry: a whole uniform-delay multicast
+// (lo < 0, delivered to every processor but mc.From), or one delay class
+// of a per-recipient multicast, the recipients [lo, hi) of its order
+// (Multicast.order): one event per distinct delay, never one per copy.
 type wevent struct {
-	mc *Multicast
-	to int32 // recipient id, or -1 for every processor but mc.From
+	mc     *Multicast
+	lo, hi int32 // range of the recipient order, or lo = -1 for a uniform multicast
+}
+
+// copies returns how many deliveries ev stands for in a p-processor run.
+func (ev wevent) copies(p int) int {
+	if ev.lo < 0 {
+		return p - 1
+	}
+	return int(ev.hi - ev.lo)
 }
 
 // wheel is a bucketed timing wheel holding in-flight deliveries keyed on
@@ -18,12 +26,13 @@ type wevent struct {
 // with m up to p·d multicasts' worth of entries.
 //
 // Determinism: buckets are FIFO. Events are pushed in simulation order
-// (ascending send time; within one time unit, ascending step order and,
-// for per-recipient events of one multicast, ascending recipient id),
-// and overflow migration happens at the start of a tick, before any push
-// of that tick, preserving send order within every bucket. Delivery order
-// therefore matches the legacy engine's (DeliverAt, send-sequence) heap
-// order for every recipient inbox.
+// (ascending send time, then ascending step order), and overflow
+// migration happens at the start of a tick, before any push of that
+// tick, preserving send order within every bucket. A multicast has at
+// most one event per bucket (one per distinct delay), so a bucket lists
+// its multicasts in send order, and an event's recipients are ascending.
+// Delivery order therefore matches the legacy engine's (DeliverAt,
+// send-sequence) heap order for every recipient inbox.
 type wheel struct {
 	buckets  [][]wevent
 	mask     int64
@@ -105,7 +114,7 @@ func (w *wheel) push(ev wevent, at int64) {
 // advanceTo moves the cursor to now, invoking fn(evs, t) once per
 // non-empty bucket due at each time t in (cur, now], handing the whole
 // bucket in push (FIFO) order — bucket granularity is what lets the
-// engine turn an all-uniform bucket into one shared delivery batch. fn
+// engine turn a bucket's uniform events into one shared delivery batch. fn
 // must not push new events (the engine only pushes during steps, after
 // advanceTo) and must not retain evs, which is cleared and reused after
 // fn returns.

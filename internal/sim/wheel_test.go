@@ -21,7 +21,7 @@ func collect(w *wheel, to int64) []delivery {
 }
 
 func ev(payload any) wevent {
-	return wevent{mc: &Multicast{Payload: payload}, to: 0}
+	return wevent{mc: &Multicast{Payload: payload}, lo: 0, hi: 1}
 }
 
 func TestWheelDueOrdering(t *testing.T) {
@@ -150,13 +150,13 @@ func TestWheelOverflowPreservesSendOrderAtHorizonBoundary(t *testing.T) {
 	late := &Multicast{From: 2}
 
 	// Sent at t=0: beyond the horizon, parked in overflow.
-	w.push(wevent{mc: early, to: 0}, at)
+	w.push(wevent{mc: early, lo: 0, hi: 1}, at)
 	// Advance to just before migration would trigger, then push the
 	// later-sent event, which now sits exactly horizon units out.
 	w.advanceTo(lead, func(evs []wevent, _ int64) {
 		t.Fatalf("premature delivery of %+v", evs)
 	})
-	w.push(wevent{mc: late, to: 0}, at)
+	w.push(wevent{mc: late, lo: 0, hi: 1}, at)
 
 	var order []int
 	w.advanceTo(at, func(evs []wevent, deliveredAt int64) {
