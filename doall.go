@@ -101,9 +101,9 @@ type (
 	Decision = sim.Decision
 	// View is the adversary's omniscient per-unit picture of the system.
 	View = sim.View
-	// Payload is the optional wire-size-aware payload interface; payload
-	// values are shared, uncopied, by every recipient of a multicast and
-	// must be immutable once sent.
+	// Payload is the optional interface of payloads that contribute a
+	// byte size to Result.Bytes; payload values are shared, uncopied, by
+	// every recipient of a multicast and must be immutable once sent.
 	Payload = sim.Payload
 	// Result carries the measured complexities of a simulated execution.
 	Result = sim.Result

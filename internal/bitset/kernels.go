@@ -2,54 +2,20 @@ package bitset
 
 import "math/bits"
 
-// Word-level merge kernels. The profiles that motivated them are the two
-// loops every knowledge merge bottoms out in: the counting union
-// (UnionWith — the monotone merge with undone-count maintenance) and the
-// count-free accumulate (OrWith — batch builders folding snapshots into
-// scratch). Both are processed in blocks of eight words: the block's new
-// bits are computed in straight-line code first, and a block that
-// contributes nothing — the overwhelmingly common case late in a run,
-// when most knowledge is already shared — is skipped without any
-// per-word branching or popcounts. Only contributing blocks pay for
-// bits.OnesCount64 per changed word.
-
-const kernelBlock = 8
+// Word-level merge kernels: the loops every knowledge merge bottoms out
+// in, the counting union (UnionWith — the monotone merge with
+// undone-count maintenance) and the count-free accumulate (OrWith —
+// batch builders folding snapshots into scratch). They are plain word
+// loops: 8-word blocks that skip all-known runs measured no faster on
+// the steady-state benchmarks or the end-to-end workloads.
 
 // unionWords ORs src into dst and returns the number of bits newly set.
 // Both slices must have the same length.
 func unionWords(dst, src []uint64) int {
 	added := 0
-	n := len(dst)
-	i := 0
-	for ; i+kernelBlock <= n; i += kernelBlock {
-		d := dst[i : i+kernelBlock : i+kernelBlock]
-		s := src[i : i+kernelBlock : i+kernelBlock]
-		n0 := s[0] &^ d[0]
-		n1 := s[1] &^ d[1]
-		n2 := s[2] &^ d[2]
-		n3 := s[3] &^ d[3]
-		n4 := s[4] &^ d[4]
-		n5 := s[5] &^ d[5]
-		n6 := s[6] &^ d[6]
-		n7 := s[7] &^ d[7]
-		if n0|n1|n2|n3|n4|n5|n6|n7 == 0 {
-			continue
-		}
-		added += bits.OnesCount64(n0) + bits.OnesCount64(n1) +
-			bits.OnesCount64(n2) + bits.OnesCount64(n3) +
-			bits.OnesCount64(n4) + bits.OnesCount64(n5) +
-			bits.OnesCount64(n6) + bits.OnesCount64(n7)
-		d[0] |= n0
-		d[1] |= n1
-		d[2] |= n2
-		d[3] |= n3
-		d[4] |= n4
-		d[5] |= n5
-		d[6] |= n6
-		d[7] |= n7
-	}
-	for ; i < n; i++ {
-		if neu := src[i] &^ dst[i]; neu != 0 {
+	dst = dst[:len(src)]
+	for i, w := range src {
+		if neu := w &^ dst[i]; neu != 0 {
 			added += bits.OnesCount64(neu)
 			dst[i] |= neu
 		}
@@ -60,58 +26,20 @@ func unionWords(dst, src []uint64) int {
 // orWords ORs src into dst without counting. Both slices must have the
 // same length.
 func orWords(dst, src []uint64) {
-	n := len(dst)
-	i := 0
-	for ; i+kernelBlock <= n; i += kernelBlock {
-		d := dst[i : i+kernelBlock : i+kernelBlock]
-		s := src[i : i+kernelBlock : i+kernelBlock]
-		d[0] |= s[0]
-		d[1] |= s[1]
-		d[2] |= s[2]
-		d[3] |= s[3]
-		d[4] |= s[4]
-		d[5] |= s[5]
-		d[6] |= s[6]
-		d[7] |= s[7]
-	}
-	for ; i < n; i++ {
-		dst[i] |= src[i]
+	dst = dst[:len(src)]
+	for i, w := range src {
+		dst[i] |= w
 	}
 }
 
 // unionDirty ORs src into v's words, stamping every changed word dirty,
 // and returns the number of bits newly set. It is the Versioned sibling
-// of unionWords: blocks whose words are all already known are skipped
-// before any touch bookkeeping.
+// of unionWords.
 func (v *Versioned) unionDirty(src []uint64) int {
-	dst := v.set.words
+	dst := v.set.words[:len(src)]
 	added := 0
-	n := len(dst)
-	i := 0
-	for ; i+kernelBlock <= n; i += kernelBlock {
-		d := dst[i : i+kernelBlock : i+kernelBlock]
-		s := src[i : i+kernelBlock : i+kernelBlock]
-		n0 := s[0] &^ d[0]
-		n1 := s[1] &^ d[1]
-		n2 := s[2] &^ d[2]
-		n3 := s[3] &^ d[3]
-		n4 := s[4] &^ d[4]
-		n5 := s[5] &^ d[5]
-		n6 := s[6] &^ d[6]
-		n7 := s[7] &^ d[7]
-		if n0|n1|n2|n3|n4|n5|n6|n7 == 0 {
-			continue
-		}
-		for j, neu := range [kernelBlock]uint64{n0, n1, n2, n3, n4, n5, n6, n7} {
-			if neu != 0 {
-				added += bits.OnesCount64(neu)
-				d[j] |= neu
-				v.touch(i + j)
-			}
-		}
-	}
-	for ; i < n; i++ {
-		if neu := src[i] &^ dst[i]; neu != 0 {
+	for i, w := range src {
+		if neu := w &^ dst[i]; neu != 0 {
 			added += bits.OnesCount64(neu)
 			dst[i] |= neu
 			v.touch(i)

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// refUnion is the pre-kernel scalar union, kept as the oracle.
+// refUnion is the scalar union, kept as the oracle.
 func refUnion(dst, src []uint64) int {
 	added := 0
 	for i, w := range src {
@@ -25,8 +25,8 @@ func TestUnionWordsMatchesScalar(t *testing.T) {
 			dst := make([]uint64, n)
 			src := make([]uint64, n)
 			for i := range dst {
-				// Mix dense, sparse, and all-shared words so both the
-				// skip-block and the contributing-block paths run.
+				// Mix dense, sparse, and all-shared words so words that
+				// add bits and words that add none both occur.
 				switch rng.Intn(4) {
 				case 0:
 					dst[i] = rng.Uint64()

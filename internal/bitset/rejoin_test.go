@@ -31,25 +31,25 @@ func TestRejoinKeepsVersionsMonotone(t *testing.T) {
 }
 
 // TestRejoinForcesFullSnapshot asserts the rebase-on-revive rule: the
-// first snapshot after a Rejoin has no delta chain — it travels as a
-// full (non-delta) payload, the on-wire form stale receivers can always
-// consume.
+// first snapshot after a Rejoin has no delta chain, so its base alone
+// holds the new incarnation's knowledge and no pre-crash segment is
+// reachable from it.
 func TestRejoinForcesFullSnapshot(t *testing.T) {
 	v := NewVersioned(128)
 	v.Set(3)
 	v.Recycle(v.Snapshot())
 	v.Set(9)
-	s1 := v.Snapshot() // in-sequence: delta encodable
-	if _, ok := s1.WireDelta(); !ok {
-		t.Fatal("pre-rejoin in-sequence snapshot unexpectedly full")
+	s1 := v.Snapshot() // in-sequence: one delta segment on the base
+	if s1.ChainLen() == 0 {
+		t.Fatal("pre-rejoin in-sequence snapshot unexpectedly has no chain")
 	}
 	v.Recycle(s1)
 
 	v.Rejoin()
 	v.Set(42)
 	s2 := v.Snapshot()
-	if _, ok := s2.WireDelta(); ok {
-		t.Fatal("first post-rejoin snapshot still travels as a delta; want a full rebase")
+	if n := s2.ChainLen(); n != 0 {
+		t.Fatalf("first post-rejoin snapshot has a %d-segment chain; want a fresh rebase", n)
 	}
 	if b := s2.Base(); b == nil || !b.Get(42) || b.Get(3) || b.Get(9) {
 		t.Fatalf("post-rejoin snapshot base should hold exactly the new knowledge; base=%v", b)
@@ -63,8 +63,8 @@ func TestRejoinForcesFullSnapshot(t *testing.T) {
 	v2.Recycle(v2.Snapshot())
 	v2.Rejoin()
 	s3 := v2.Snapshot()
-	if _, ok := s3.WireDelta(); ok {
-		t.Fatal("empty post-rejoin snapshot travels as a delta")
+	if n := s3.ChainLen(); n != 0 {
+		t.Fatalf("empty post-rejoin snapshot has a %d-segment chain", n)
 	}
 	got := New(64)
 	s3.Materialize(got)
@@ -164,9 +164,9 @@ func TestRejoinRepeated(t *testing.T) {
 			t.Fatalf("round %d: version %d not above %d", round, s.Ver(), last)
 		}
 		last = s.Ver()
-		if _, ok := s.WireDelta(); ok && round > 0 {
-			// Round 0 precedes any rejoin and may legitimately be a delta.
-			t.Fatalf("round %d: post-rejoin snapshot is a delta", round)
+		if n := s.ChainLen(); n != 0 && round > 0 {
+			// Round 0 precedes any rejoin and may legitimately have a chain.
+			t.Fatalf("round %d: post-rejoin snapshot has a %d-segment chain", round, n)
 		}
 		v.Recycle(s)
 		v.Rejoin()

@@ -516,29 +516,14 @@ func (s *Snapshot) Len() int { return s.n }
 // Base returns the epoch's immutable base set (nil = empty base).
 func (s *Snapshot) Base() *Set { return s.ep.base }
 
-// Delta returns the newest delta segment's words — what actually goes on
-// the wire for in-sequence receivers — or nil when the snapshot is a
-// fresh rebase (or nothing changed); then the wire carries the base.
+// Delta returns the newest delta segment's words — the words that changed
+// since the owner's previous snapshot — or nil when the snapshot is a
+// fresh rebase (or nothing changed).
 func (s *Snapshot) Delta() []DeltaWord {
 	if s.head == nil || s.head.ver != s.ver {
 		return nil
 	}
 	return s.head.words
-}
-
-// WireDelta returns the delta-segment words a wire encoding of this
-// snapshot carries and true, or (nil, false) when the snapshot has no
-// chain (a fresh rebase or a never-changed epoch) and must travel as a
-// full snapshot. The words are empty (but ok is true) when the version
-// advanced with no changes.
-func (s *Snapshot) WireDelta() ([]DeltaWord, bool) {
-	if s.head == nil {
-		return nil, false
-	}
-	if s.head.ver != s.ver {
-		return nil, true
-	}
-	return s.head.words, true
 }
 
 // ChainLen returns the number of delta segments reachable from this

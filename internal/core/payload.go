@@ -3,16 +3,7 @@ package core
 import (
 	"doall/internal/bitset"
 	"doall/internal/sim"
-	"doall/internal/wire"
 )
-
-// Sizer is the wire-size-aware payload interface consumed by the
-// simulation engine: the engine queries WireSize once per multicast for
-// byte accounting (message *count* remains the paper's complexity
-// measure) and shares the payload value, uncopied, with every recipient.
-// It is an alias of sim.Payload so core payload types satisfy the engine
-// contract by construction; implementations must be immutable once sent.
-type Sizer = sim.Payload
 
 // The multicast payloads are shared across recipients without copying,
 // so they must satisfy the engine's payload contract.
@@ -35,16 +26,8 @@ type TreeSnapshot struct {
 	S *bitset.Snapshot
 }
 
-// WireSize implements Sizer: the sparse delta encoding for in-sequence
-// snapshots, the full encoding for rebased ones.
-func (s TreeSnapshot) WireSize() int {
-	return snapshotWireSize(wire.KindTree, wire.KindTreeDelta, s.S)
-}
-
-// Encode serializes the snapshot with the wire format.
-func (s TreeSnapshot) Encode() []byte {
-	return snapshotEncode(wire.KindTree, wire.KindTreeDelta, s.S)
-}
+// WireSize implements sim.Payload: see snapshotBytes.
+func (s TreeSnapshot) WireSize() int { return snapshotBytes(s.S) }
 
 // DoneSet is the PA multicast payload: a versioned snapshot of the
 // sender's known-done job set, represented like TreeSnapshot.
@@ -53,37 +36,13 @@ type DoneSet struct {
 	S *bitset.Snapshot
 }
 
-// WireSize implements Sizer.
-func (s DoneSet) WireSize() int {
-	return snapshotWireSize(wire.KindDoneSet, wire.KindDoneSetDelta, s.S)
-}
+// WireSize implements sim.Payload: see snapshotBytes.
+func (s DoneSet) WireSize() int { return snapshotBytes(s.S) }
 
-// Encode serializes the done-set with the wire format.
-func (s DoneSet) Encode() []byte {
-	return snapshotEncode(wire.KindDoneSet, wire.KindDoneSetDelta, s.S)
-}
-
-// snapshotWireSize returns the wire size of a versioned snapshot without
-// allocating: the sparse delta message when the snapshot has a chain, the
-// full (old-kind) snapshot when it is a fresh rebase — the on-wire form
-// of the full-merge fallback.
-func snapshotWireSize(full, delta wire.Kind, s *bitset.Snapshot) int {
-	if words, ok := s.WireDelta(); ok {
-		return wire.SizeDelta(delta, s.Len(), s.Ver(), s.BaseVer(), words)
-	}
-	if b := s.Base(); b != nil {
-		return wire.Size(full, b)
-	}
-	return wire.SizeEmpty(full, s.Len())
-}
-
-// snapshotEncode is the allocation-tolerant sibling of snapshotWireSize.
-func snapshotEncode(full, delta wire.Kind, s *bitset.Snapshot) []byte {
-	if words, ok := s.WireDelta(); ok {
-		return wire.EncodeDelta(delta, s.Len(), s.Ver(), s.BaseVer(), words)
-	}
-	if b := s.Base(); b != nil {
-		return wire.Encode(full, b)
-	}
-	return wire.Encode(full, bitset.New(s.Len()))
-}
+// snapshotBytes is the byte count of one copy of a knowledge payload: the
+// sender's whole n-bit set, 8·⌈n/64⌉ bytes. Every multicast of the
+// paper's algorithms carries the sender's whole knowledge, and that is
+// the size any receiver can decode, whatever it last heard from the
+// sender; the delta chain is how the simulator represents it, not what
+// it charges.
+func snapshotBytes(s *bitset.Snapshot) int { return 8 * ((s.Len() + 63) / 64) }

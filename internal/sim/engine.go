@@ -566,8 +566,8 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) []D
 //     already performed it (possible only in the sequential tick, whose
 //     finishStep runs between steps). Out-of-range tasks are left for
 //     finishStep's validation panic.
-//   - A broadcast charges p-1 messages and p-1 wire sizes, omitted copies
-//     included, and counts one multicast, so no adversary query is needed
+//   - A broadcast charges p-1 messages and p-1 copies of its payload's
+//     byte size, omitted copies included, and counts one multicast, so no adversary query is needed
 //     here and a stateful delay stream stays untouched until finishStep
 //     draws it (which is where omissions are counted).
 func (e *Engine) stepMachine(i int, now int64, sb *shardBlock, r *StepResult) {
@@ -600,7 +600,7 @@ func (e *Engine) stepMachine(i int, now int64, sb *shardBlock, r *StepResult) {
 		}
 	}
 	// Bytes count only until Solved (mergeBlocks drops them after), so
-	// the wire sizes are not computed past it.
+	// payload sizes are not computed past it.
 	counting := !e.res.Solved
 	if r.Broadcast != nil && e.cfg.P > 1 {
 		n := int64(e.cfg.P - 1)

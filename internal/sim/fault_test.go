@@ -11,11 +11,11 @@ import (
 
 // bcastFact captures one watched broadcast's shape during the hook —
 // payloads must not be retained past the callback (the engine recycles
-// them), so the observer extracts version and encoding on the spot.
+// them), so the observer extracts version and chain length on the spot.
 type bcastFact struct {
 	at    int64
 	ver   int64
-	delta bool
+	chain int
 }
 
 // faultObserver records revive/omit hooks and the broadcasts of one
@@ -40,14 +40,13 @@ func (o *faultObserver) OnMulticast(from int, now int64, payload any, recipients
 	if !ok {
 		return
 	}
-	_, delta := ds.S.WireDelta()
-	o.casts = append(o.casts, bcastFact{at: now, ver: ds.S.Ver(), delta: delta})
+	o.casts = append(o.casts, bcastFact{at: now, ver: ds.S.Ver(), chain: ds.S.ChainLen()})
 }
 
 // TestReviveRebasesNextBroadcast asserts the rebase-on-revive rule end to
 // end: after a crash-restart, the revived processor's next broadcast is a
-// full (non-delta) snapshot — the wire form any receiver can consume
-// regardless of cursor state.
+// fresh rebase — a snapshot with no delta chain, whose base alone holds
+// the new incarnation's knowledge.
 func TestReviveRebasesNextBroadcast(t *testing.T) {
 	// Single-task jobs (t ≤ p) make PA broadcast at every performing
 	// step, so the revived processor broadcasts again before the cohort's
@@ -82,8 +81,8 @@ func TestReviveRebasesNextBroadcast(t *testing.T) {
 	if !foundPre || !foundPost {
 		t.Fatalf("want pre-crash and post-revive broadcasts, got pre=%v post=%v (casts %v)", foundPre, foundPost, obs.casts)
 	}
-	if post.delta {
-		t.Fatal("first post-revive broadcast travels as a delta; want a full rebase")
+	if post.chain != 0 {
+		t.Fatalf("first post-revive broadcast has a %d-segment delta chain; want a fresh rebase", post.chain)
 	}
 	if post.ver <= pre.ver {
 		t.Fatalf("post-revive snapshot version %d not above pre-crash %d", post.ver, pre.ver)

@@ -132,13 +132,14 @@ func (r *StepResult) PerformedTask() int { return r.performed - 1 }
 // "perform one task, nothing else" step as a single expression.
 func PerformStep(z int) StepResult { return StepResult{performed: z + 1} }
 
-// Payload is the optional interface for wire-size-aware message payloads.
-// Payloads implementing it contribute their encoded size to Result.Bytes;
-// the engine queries the size once per multicast, never per recipient.
-// Implementations must be immutable once sent: one payload value is shared,
-// uncopied, by every recipient of a multicast (and by the sender).
+// Payload is the optional interface of message payloads that have a byte
+// size. Payloads implementing it contribute that size, once per counted
+// copy, to Result.Bytes; the engine queries the size once per multicast,
+// never per recipient. Implementations must be immutable once sent: one
+// payload value is shared, uncopied, by every recipient of a multicast
+// (and by the sender).
 type Payload interface {
-	// WireSize returns the encoded size of the payload in bytes.
+	// WireSize returns the size in bytes of one copy of the payload.
 	WireSize() int
 }
 
@@ -448,11 +449,12 @@ type Result struct {
 	// delivered). They are exactly the totals of the matching Observer
 	// hooks, so counting consumers need no observer.
 	Multicasts, Crashes, Revivals, Omissions int64
-	// Bytes is the wire volume (in bytes) of the point-to-point messages
-	// counted in Messages, for payloads that implement
-	// interface{ WireSize() int }; other payloads contribute zero. Byte
-	// volume is an engineering metric — the paper's message complexity is
-	// the count in Messages.
+	// Bytes is the byte volume of the point-to-point messages counted in
+	// Messages: each copy contributes its payload's WireSize (Payload);
+	// other payloads contribute zero. The PA and DA payloads size every
+	// copy as the sender's whole knowledge set, so for them Bytes is
+	// Messages times a constant. Byte volume is an engineering metric —
+	// the paper's message complexity is the count in Messages.
 	Bytes int64
 	// TaskExecutions counts every task performance, with multiplicity.
 	TaskExecutions int64
