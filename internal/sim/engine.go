@@ -567,9 +567,10 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) []D
 //     finishStep runs between steps). Out-of-range tasks are left for
 //     finishStep's validation panic.
 //   - A broadcast charges p-1 messages and p-1 copies of its payload's
-//     byte size, omitted copies included, and counts one multicast, so no adversary query is needed
-//     here and a stateful delay stream stays untouched until finishStep
-//     draws it (which is where omissions are counted).
+//     byte size, omitted copies included, and counts one multicast, so
+//     no adversary query is needed here and a stateful delay stream
+//     stays untouched until finishStep draws it (which is where
+//     omissions are counted).
 func (e *Engine) stepMachine(i int, now int64, sb *shardBlock, r *StepResult) {
 	inbox := e.inbox[i]
 	pend := e.pending(i)
