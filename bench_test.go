@@ -455,6 +455,29 @@ func BenchmarkEngineSteadyStatePaRan2_1024Skew(b *testing.B) {
 	benchSteadyState1024(b, doall.NewPaRan2(1024, 65536, 42), skewFill{d: 8})
 }
 
+// BenchmarkEngineSteadyStateDA1024 is the same shape for DA(2): each
+// step merges the delivered progress trees and closes the tree over the
+// words those merges read, still at 0 allocs/op.
+func BenchmarkEngineSteadyStateDA1024(b *testing.B) {
+	benchSteadyState1024(b, daMachines1024(b), adversary.NewFair(8))
+}
+
+// BenchmarkEngineSteadyStateDA1024Skew is the DA shape under the
+// recipient-skewed fill (skewFill, d=8), where deliveries arrive in
+// eight delay classes and a step may merge several batches.
+func BenchmarkEngineSteadyStateDA1024Skew(b *testing.B) {
+	benchSteadyState1024(b, daMachines1024(b), skewFill{d: 8})
+}
+
+// daMachines1024 builds DA(2) at the steady-state benchmarks' shape.
+func daMachines1024(b *testing.B) []sim.Machine {
+	ms, err := scenario.Scenario{Algorithm: scenario.AlgoDA, P: 1024, T: 65536, D: 8, Seed: 42}.Machines()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ms
+}
+
 // benchSteadyState1024 times whole re-runs of ms (p=1024, t=65536, d=8)
 // under adv on one warmed reusable engine, machines reset in place.
 func benchSteadyState1024(b *testing.B, ms []sim.Machine, adv sim.Adversary) {
@@ -612,8 +635,17 @@ func BenchmarkParallelTickPA65536(b *testing.B) {
 			eng := sim.NewEngine()
 			defer eng.Close()
 			cfg := sim.Config{P: p, T: t, Shards: s}
+			// Warm as the steady-state benchmarks do, so allocs/op
+			// measures the steady state and not pool convergence.
+			for w := 0; w < 4; w++ {
+				sim.ResetMachines(ms)
+				if _, err := eng.Run(cfg, ms, adv); err != nil {
+					b.Fatal(err)
+				}
+			}
 			var work int64
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !sim.ResetMachines(ms) {
 					b.Fatal("PaRan1 machines must be resettable")

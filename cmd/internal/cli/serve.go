@@ -43,7 +43,6 @@ func runServe(ctx context.Context, args []string, w, errw io.Writer) error {
 	fs.DurationVar(&cfg.DefaultTimeout, "timeout", 0, "default wall-clock budget per job (0 = unlimited; jobs may declare their own)")
 	fs.StringVar(&shards, "shards", "1", "default intra-run parallel shards per cell — a count, or 'auto'; jobs may declare their own (results are identical at any value)")
 	fs.StringVar(&twinPath, "twin", "", "calibrated analytical-twin fit (TWIN_FIT.json); POST /v1/predict answers in-envelope queries from it without simulating")
-	fs.Float64Var(&cfg.TwinMaxBandRatio, "twin-band", 0, "widest confidence-band hi/lo ratio served analytically; wider predictions fall back to simulation (0 = default 8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -7,8 +7,10 @@ package bitset
 //
 // A snapshot still *means* the owner's full set at the snapshot's version;
 // it is merely *represented* as base ∪ chain. A receiver merges a
-// delivered snapshot whole (Versioned.Merge, MergeCollect): the base, then
-// the chain. Only one reader walks just a chain suffix:
+// delivered snapshot whole (Versioned.Merge): the base, then the chain.
+// Merges only count the bits they set; a receiver that must react to new
+// bits (DA's progress-tree closure) rereads the words a merge could have
+// changed, since the closure it restores is unique. Only one reader walks just a chain suffix:
 // Snapshot.AccumulateInto, which builds a combined batch cache from a
 // watermark the caller keeps (the simulation engine's per-sender build
 // watermark), and falls back to the whole base and chain when the
@@ -162,26 +164,6 @@ func (v *Versioned) UnionWith(other *Set) int {
 	return v.unionDirty(other.words)
 }
 
-// UnionWithCollect is UnionWith, additionally appending every changed
-// word (index and newly set bits) to out. It returns the bit count and
-// the appended slice.
-func (v *Versioned) UnionWithCollect(other *Set, out []DeltaWord) (int, []DeltaWord) {
-	if other.n != v.set.n {
-		panic("bitset: UnionWithCollect length mismatch")
-	}
-	added := 0
-	dst := v.set.words
-	for i, w := range other.words {
-		if neu := w &^ dst[i]; neu != 0 {
-			added += onesCount(neu)
-			dst[i] |= neu
-			v.touch(i)
-			out = append(out, DeltaWord{int32(i), neu})
-		}
-	}
-	return added, out
-}
-
 // MergeWords ORs src's words at the given indices into v (indices may
 // repeat; repeats merge nothing new) and returns the number of bits newly
 // set.
@@ -198,21 +180,6 @@ func (v *Versioned) MergeWords(src *Set, idxs []int32) int {
 	return added
 }
 
-// MergeWordsCollect is MergeWords, appending changed words to out.
-func (v *Versioned) MergeWordsCollect(src *Set, idxs []int32, out []DeltaWord) (int, []DeltaWord) {
-	added := 0
-	dst := v.set.words
-	for _, i := range idxs {
-		if neu := src.words[i] &^ dst[i]; neu != 0 {
-			added += onesCount(neu)
-			dst[i] |= neu
-			v.touch(int(i))
-			out = append(out, DeltaWord{i, neu})
-		}
-	}
-	return added, out
-}
-
 // mergeSeg ORs one delta segment into v, returning newly set bits.
 func (v *Versioned) mergeSeg(seg *segment) int {
 	added := 0
@@ -225,21 +192,6 @@ func (v *Versioned) mergeSeg(seg *segment) int {
 		}
 	}
 	return added
-}
-
-// mergeSegCollect is mergeSeg, appending changed words to out.
-func (v *Versioned) mergeSegCollect(seg *segment, out []DeltaWord) (int, []DeltaWord) {
-	added := 0
-	dst := v.set.words
-	for _, dw := range seg.words {
-		if neu := dw.Word &^ dst[dw.Index]; neu != 0 {
-			added += onesCount(neu)
-			dst[dw.Index] |= neu
-			v.touch(int(dw.Index))
-			out = append(out, DeltaWord{dw.Index, neu})
-		}
-	}
-	return added, out
 }
 
 // getSeg takes a segment node from the pool or allocates one.
@@ -598,20 +550,4 @@ func (v *Versioned) Merge(s *Snapshot) int {
 		added += v.mergeSeg(seg)
 	}
 	return added
-}
-
-// MergeCollect is Merge, appending every changed word (index and newly
-// set bits) to out — receivers that must react to individual new bits
-// (DA's progress-tree closure propagation) use it.
-func (v *Versioned) MergeCollect(s *Snapshot, out []DeltaWord) (int, []DeltaWord) {
-	added, n := 0, 0
-	if s.ep.base != nil {
-		n, out = v.UnionWithCollect(s.ep.base, out)
-		added += n
-	}
-	for seg := s.head; seg != nil; seg = seg.prev {
-		n, out = v.mergeSegCollect(seg, out)
-		added += n
-	}
-	return added, out
 }

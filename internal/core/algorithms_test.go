@@ -300,8 +300,7 @@ func TestDANextTaskAfterMergesAllocatesNothing(t *testing.T) {
 							inbox = append(inbox, d)
 						}
 					}
-					m.merge(nil, inbox)
-					m.tree.Close(m.delta)
+					m.absorb(nil, inbox)
 				}
 				want := m.NextTask()
 				if a := testing.AllocsPerRun(5, func() { m.NextTask() }); a != 0 {

@@ -22,7 +22,7 @@ import (
 // immutable base-plus-delta-chain snapshot (O(changed words), not
 // O(nodes)), received snapshots merge whole (base, then chain), and the
 // interior-closure invariant is restored a word of parents at a time
-// from the newly merged bits instead of by an O(nodes) recompute.
+// from the merged words instead of by an O(nodes) recompute.
 //
 // Work is O(t·p^ε + p·min{t,d}·⌈t/d⌉^ε) for a suitable constant q and a
 // low-contention Σ (Theorems 5.4, 5.5); messages are O(p·W) (Theorem 5.6).
@@ -117,18 +117,25 @@ func (m *DA) Step(now int64, inbox []sim.Delivery) sim.StepResult {
 	return m.StepBatched(now, nil, inbox)
 }
 
-// StepBatched implements sim.BatchConsumer; see PA.StepBatched. The
-// interior-closure invariant is restored from the merged words once all
-// of them landed: Tree.Close visits only the parent words of the new bits
-// (an interior node's children can only become all-done when one of them
-// is new) and closes a word of parents at a time, so the result equals
-// the bottom-up recompute at new-knowledge cost.
+// StepBatched implements sim.BatchConsumer; see PA.StepBatched.
 func (m *DA) StepBatched(now int64, batches []*sim.Batch, tail []sim.Delivery) sim.StepResult {
-	if len(batches) > 0 || len(tail) > 0 {
-		m.merge(batches, tail)
-		m.tree.Close(m.delta)
-	}
+	m.absorb(batches, tail)
 	return m.advance()
+}
+
+// absorb merges one step's deliveries and then restores the
+// interior-closure invariant once all of them landed. Tree.Close rereads
+// the words the merges may have changed (the applied caches' index lists,
+// or every word after a full-width merge) and visits only the parent
+// words of their set bits, a superset of the new bits' parents (an
+// interior node's children can only become all-done when one of them is
+// new); it closes a word of parents at a time, so the result equals the
+// bottom-up recompute at changed-word cost. A merge that set no bit
+// leaves the closed tree closed.
+func (m *DA) absorb(batches []*sim.Batch, tail []sim.Delivery) {
+	if m.merge(batches, tail) > 0 {
+		m.tree.Close(m.touched, m.dense)
+	}
 }
 
 // advance is the post-merge traversal body.

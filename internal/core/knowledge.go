@@ -9,16 +9,20 @@ import (
 // versioned set a machine snapshots into its multicasts and merges
 // deliveries into, and the combined batch caches it builds for the
 // engine. PA's payloads are DoneSets and DA's are TreeSnapshots; a plane
-// merges and combines only its own kind at its own length. DA's merges
-// append the words they changed (their newly set bits) to delta, which DA
-// closes its progress tree over; PA only counts new bits, through the
-// faster non-collecting kernels.
+// merges and combines only its own kind at its own length. Both run the
+// same merges, which count new bits and record which words a step's
+// merges may have changed: touched holds each applied sparse cache's
+// index list, by reference (a published cache is immutable until its
+// batch retires, after the step), and dense marks a step with a
+// full-width cache or a whole-snapshot merge, which may have changed any
+// word. DA closes its progress tree over those words; PA ignores them.
 type knowledge struct {
-	pid   int
-	trees bool // TreeSnapshot payloads (DA); DoneSet payloads otherwise (PA)
-	vers  *bitset.Versioned
-	delta []bitset.DeltaWord
-	free  []*knowledgeCombined // pooled caches this machine built
+	pid     int
+	trees   bool // TreeSnapshot payloads (DA); DoneSet payloads otherwise (PA)
+	vers    *bitset.Versioned
+	touched [][]int32
+	dense   bool
+	free    []*knowledgeCombined // pooled caches this machine built
 }
 
 // knowledgeCombined is the combined knowledge cache the engine publishes
@@ -62,11 +66,12 @@ func (k *knowledge) snap(payload any) *bitset.Snapshot {
 // merge folds one step's deliveries into the set: each batch through its
 // published cache when the cache is this plane's, multicast by multicast
 // otherwise (skipping the machine's own), then the per-recipient tail. It
-// returns the number of bits newly set; for DA, delta holds the changed
-// words. Merges are monotone unions, so the order differs from Step's
-// inbox order unobservably.
+// returns the number of bits newly set, and leaves touched and dense
+// describing the words the merges may have changed. Merges are monotone
+// unions, so the order differs from Step's inbox order unobservably.
 func (k *knowledge) merge(batches []*sim.Batch, tail []sim.Delivery) int {
-	k.delta = k.delta[:0]
+	k.touched = k.touched[:0]
+	k.dense = false
 	added := 0
 	for _, b := range batches {
 		if c, ok := b.Combined.(*knowledgeCombined); ok && c.trees == k.trees && c.bits.Len() == k.vers.Len() {
@@ -87,31 +92,23 @@ func (k *knowledge) merge(batches []*sim.Batch, tail []sim.Delivery) int {
 
 // apply merges a published cache: full-width when dense, by its index
 // list otherwise.
-func (k *knowledge) apply(c *knowledgeCombined) (n int) {
-	switch {
-	case !k.trees && c.dense:
+func (k *knowledge) apply(c *knowledgeCombined) int {
+	if c.dense {
+		k.dense = true
 		return k.vers.UnionWith(c.bits)
-	case !k.trees:
-		return k.vers.MergeWords(c.bits, c.idxs)
-	case c.dense:
-		n, k.delta = k.vers.UnionWithCollect(c.bits, k.delta)
-	default:
-		n, k.delta = k.vers.MergeWordsCollect(c.bits, c.idxs, k.delta)
 	}
-	return n
+	k.touched = append(k.touched, c.idxs)
+	return k.vers.MergeWords(c.bits, c.idxs)
 }
 
 // mergeOne merges one delivered payload whole: its epoch base and chain.
-func (k *knowledge) mergeOne(payload any) (n int) {
+func (k *knowledge) mergeOne(payload any) int {
 	s := k.snap(payload)
-	switch {
-	case s == nil:
-	case !k.trees:
-		n = k.vers.Merge(s)
-	default:
-		n, k.delta = k.vers.MergeCollect(s, k.delta)
+	if s == nil {
+		return 0
 	}
-	return n
+	k.dense = true
+	return k.vers.Merge(s)
 }
 
 // BuildCombined implements sim.BatchConsumer for PA and DA: it folds each

@@ -129,6 +129,18 @@ func TestQuickDoneSetMergeMatchesNaive(t *testing.T) {
 	}
 }
 
+// daObserver returns a merge-only binary DA machine with pid p, outside
+// the senders' pids 0…p−1, over jobs.
+func daObserver(p int, jobs Jobs) *DA {
+	tr, _ := tree.NewForTasksVersioned(2, jobs.N)
+	return &DA{
+		knowledge: knowledge{pid: p, trees: true, vers: tr.Versioned()},
+		q:         2, perms: perm.RotationList(2, 2),
+		digits: qDigits(p, 2, tr.Height()),
+		tree:   tr, jobs: jobs,
+	}
+}
+
 // TestQuickTreeSnapshotMergeMatchesNaive is the same property for DA's
 // TreeSnapshot kind: the delta merge plus upward closure propagation must
 // equal the naive reference — a plain progress tree merging each
@@ -145,17 +157,8 @@ func TestQuickTreeSnapshotMergeMatchesNaive(t *testing.T) {
 		queue := pumpSenders(rng, senders, 14)
 
 		jobs := NewJobs(p, tasks)
-		mkObserver := func() *DA {
-			tr, _ := tree.NewForTasksVersioned(2, jobs.N)
-			return &DA{
-				knowledge: knowledge{pid: p, trees: true, vers: tr.Versioned()},
-				q:         2, perms: perm.RotationList(2, 2),
-				digits: qDigits(p, 2, tr.Height()),
-				tree:   tr, jobs: jobs,
-			}
-		}
-		eager := mkObserver()
-		batched := mkObserver()
+		eager := daObserver(p, jobs)
+		batched := daObserver(p, jobs)
 		shadow, _ := tree.NewForTasks(2, jobs.N) // plain: naive MergeSet + recompute
 		scratch := bitset.New(shadow.Size())
 		since := make([]int64, p+1)
@@ -164,15 +167,13 @@ func TestQuickTreeSnapshotMergeMatchesNaive(t *testing.T) {
 			d := queue[qi]
 			ts := d.payload.(TreeSnapshot)
 			mc := &sim.Multicast{From: d.from, Payload: ts}
-			eager.merge(nil, []sim.Delivery{{MC: mc}})
-			eager.tree.Close(eager.delta)
+			eager.absorb(nil, []sim.Delivery{{MC: mc}})
 
 			b := &sim.Batch{MCs: []*sim.Multicast{mc}, Builder: -1}
 			if kc := batched.BuildCombined(b, since); kc != nil {
 				b = &sim.Batch{MCs: b.MCs, Combined: kc, Builder: int32(p)}
 			}
-			batched.merge([]*sim.Batch{b}, nil)
-			batched.tree.Close(batched.delta)
+			batched.absorb([]*sim.Batch{b}, nil)
 
 			ts.S.Materialize(scratch)
 			shadow.MergeSet(scratch)
@@ -193,6 +194,101 @@ func TestQuickTreeSnapshotMergeMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTreeSnapshotSparseCachesMatchNaive checks DA's merges on a progress
+// tree of 64 words, wide enough for a batch's combined cache to be sparse:
+// its index list names fewer than half the words, and Close rereads only
+// those. The senders are pids 0, 1024, 512, 1536, 256 and 1280 of
+// p = 2048, whose traversals part only near the leaves, so they complete
+// sibling leaves and subtrees that only a receiver of both closes. Each
+// step applies one to three batches through their caches, and every
+// other step adds an inbox delivery, merged whole. After every step the
+// receiver's tree must equal the naive one (each materialized snapshot
+// merged by MergeSet and recompute); steps applying only sparse caches,
+// and steps mixing a sparse cache with a delivery, must both occur.
+func TestTreeSnapshotSparseCachesMatchNaive(t *testing.T) {
+	const p = 2048
+	pids := []int{0, 1024, 512, 1536, 256, 1280}
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		all, err := NewDA(DAConfig{P: p, T: p, Q: 2, Perms: perm.RotationList(2, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		senders := make([]sim.Machine, len(pids))
+		for i, pid := range pids {
+			senders[i] = all[pid]
+		}
+		queue := pumpSenders(rng, senders, 60)
+
+		recv := daObserver(p, NewJobs(p, p))
+		if nw := len(recv.vers.Bits().Words()); nw < 64 {
+			t.Fatalf("tree spans %d words, want at least 64", nw)
+		}
+		shadow, _ := tree.NewForTasks(2, p)
+		scratch := bitset.New(shadow.Size())
+		naive := func(payload any) {
+			payload.(TreeSnapshot).S.Materialize(scratch)
+			shadow.MergeSet(scratch)
+		}
+		since := make([]int64, len(pids))
+		sparseOnly, mixed := 0, 0
+		for step := 0; len(queue) > 0; step++ {
+			var batches []*sim.Batch
+			sparse, dense := 0, 0
+			for k := 1 + rng.Intn(3); k > 0 && len(queue) > 0; k-- {
+				b := &sim.Batch{Builder: int32(p)}
+				n := min(1+rng.Intn(3), len(queue))
+				for _, d := range queue[:n] {
+					b.MCs = append(b.MCs, &sim.Multicast{From: d.from, Payload: d.payload})
+				}
+				queue = queue[n:]
+				kc, _ := recv.BuildCombined(b, since).(*knowledgeCombined)
+				if kc == nil {
+					t.Fatalf("seed %d step %d: no cache for a batch of TreeSnapshots", seed, step)
+				}
+				if kc.dense {
+					dense++
+				} else {
+					sparse++
+				}
+				b.Combined = kc
+				batches = append(batches, b)
+			}
+			var tail []sim.Delivery
+			if step%2 == 1 && len(queue) > 0 {
+				tail = []sim.Delivery{{MC: &sim.Multicast{From: queue[0].from, Payload: queue[0].payload}}}
+				queue = queue[1:]
+			}
+			switch {
+			case sparse > 0 && dense == 0 && tail == nil:
+				sparseOnly++
+			case sparse > 0 && tail != nil:
+				mixed++
+			}
+
+			recv.absorb(batches, tail)
+			for _, b := range batches {
+				for _, mc := range b.MCs {
+					naive(mc.Payload)
+				}
+			}
+			for _, d := range tail {
+				naive(d.Payload())
+			}
+			for n := 0; n < shadow.Size(); n++ {
+				if recv.tree.Done(n) != shadow.Done(n) {
+					t.Fatalf("seed %d step %d (%d sparse, %d dense caches, %d deliveries): node %d = %v, naive %v",
+						seed, step, sparse, dense, len(tail), n, recv.tree.Done(n), shadow.Done(n))
+				}
+			}
+		}
+		if sparseOnly == 0 || mixed == 0 {
+			t.Fatalf("seed %d: %d steps applied only sparse caches and %d mixed one with a delivery; want both", seed, sparseOnly, mixed)
+		}
+		t.Logf("seed %d: %d sparse-only steps, %d mixed steps", seed, sparseOnly, mixed)
 	}
 }
 

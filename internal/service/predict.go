@@ -32,18 +32,11 @@ type PredictResult struct {
 	Prediction twin.Prediction `json:"prediction"`
 }
 
-func (s *Service) twinMaxBandRatio() float64 {
-	if s.cfg.TwinMaxBandRatio > 0 {
-		return s.cfg.TwinMaxBandRatio
-	}
-	return defaultTwinMaxBandRatio
-}
-
 // Predict answers one query, preferring the twin and falling back to a
 // real bounded simulation when the twin cannot vouch for the shape: no
 // twin loaded, no model for the (algorithm, adversary family), outside
 // the calibrated envelope, or a confidence band wider than the
-// configured ratio.
+// ratio defaultTwinMaxBandRatio.
 func (s *Service) Predict(ctx context.Context, q twin.Query) (PredictResult, error) {
 	// Scenario.Validate would silently default a degenerate shape; a
 	// predict query must mean exactly the shape it names.
@@ -53,7 +46,7 @@ func (s *Service) Predict(ctx context.Context, q twin.Query) (PredictResult, err
 	}
 	if tw := s.cfg.Twin; tw != nil {
 		pred, err := tw.Predict(q)
-		if err == nil && pred.InEnvelope && pred.BandRatio <= s.twinMaxBandRatio() {
+		if err == nil && pred.InEnvelope && pred.BandRatio <= defaultTwinMaxBandRatio {
 			s.metrics.twinPredicts.Add(1)
 			return PredictResult{Mode: "twin", Prediction: pred}, nil
 		}

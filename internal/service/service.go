@@ -85,10 +85,6 @@ type Config struct {
 	// an engine. nil means every predict query falls back to one real
 	// bounded simulation.
 	Twin *twin.Twin
-	// TwinMaxBandRatio caps the confidence-band Hi/Lo ratio the daemon
-	// will serve analytically; wider predictions fall back to simulation.
-	// 0 means the default (8).
-	TwinMaxBandRatio float64
 }
 
 func (c Config) withDefaults() Config {

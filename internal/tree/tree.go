@@ -13,9 +13,9 @@
 // After a merge the closure rule — an interior node is done iff all its
 // children are — is restored by Close, a word kernel: it computes a word
 // of 64 parents at a time from the words holding their children, visiting
-// only the parent words of new bits. A single marked leaf (MarkLeaf) still
-// walks upward one node at a time; the bottom-up recompute behind Merge,
-// MergeSet and MergeBits is O(size).
+// only the parent words of the words a merge touched. A single marked
+// leaf (MarkLeaf) still walks upward one node at a time; the bottom-up
+// recompute behind Merge, MergeSet and MergeBits is O(size).
 package tree
 
 import (
@@ -217,23 +217,36 @@ func (t *Tree) propagate(n int) {
 // contiguous bits q·n+1 … q·n+q — are done.
 func (t *Tree) childrenDone(n int) bool { return t.done.AllSet(t.q*n+1, t.q) }
 
-// Close restores the closure rule after the bits in deltas were ORed into
-// the tree: each entry is a word index and that word's newly set bits, as
-// bitset's collecting merges report them. Only the parent words of new
-// bits are visited, from the highest word down, so every child word is
-// final before its parents' word is computed; word 0 holds its own
-// parents (nodes 1–63 of a binary tree have parents 0–31) and is revisited
-// until it stops changing. For q = 2 a parent word is computed whole from
-// its three child words with a few shifts and masks. For other q only the
-// parents of new bits are tested, each with one child-window test. Each
-// changed word is ORed in, and stamped dirty, once per visit. The result
-// is the unique closure, so the bits set, and the words dirtied, do not
-// depend on the visiting order.
-func (t *Tree) Close(deltas []bitset.DeltaWord) {
+// Close restores the closure rule after bits were ORed into the tree,
+// given the words those bits may have landed in: every word of each
+// touched index list (repeats allowed), or every word when all is set.
+// It queues the parents of every set bit of those words, a superset of
+// the parents of the new bits, and visits only the queued parent words,
+// from the highest word down, so every child word is final before its
+// parents' word is computed; word 0 holds its own parents (nodes 1–63 of
+// a binary tree have parents 0–31) and is revisited until it stops
+// changing. For q = 2 a parent word is computed whole from its three
+// child words with a few shifts and masks. For other q only the queued
+// parents that are not yet done are tested, each with one child-window
+// test. Each changed word is ORed in, and stamped dirty, once per visit.
+// The tree must have been closed before the merge: the result is then
+// the unique closure, so the bits set, and the words dirtied, depend
+// neither on the visiting order nor on how loose the superset is.
+func (t *Tree) Close(touched [][]int32, all bool) {
+	w := t.done.Words()
 	top := -1
-	for _, d := range deltas {
-		t.queueParents(int(d.Index), d.Word)
-		top = max(top, int(d.Index))
+	if all {
+		for k, x := range w {
+			t.queueParents(k, x)
+		}
+		top = len(w) - 1
+	} else {
+		for _, idxs := range touched {
+			for _, k := range idxs {
+				t.queueParents(int(k), w[k])
+				top = max(top, int(k))
+			}
+		}
 	}
 	// A parent's word never exceeds its child's, so top bounds the queue.
 	for i := top >> 6; i >= 0; i-- {
@@ -248,8 +261,8 @@ func (t *Tree) Close(deltas []bitset.DeltaWord) {
 	}
 }
 
-// queueParents queues the words holding the parents of nb, the newly set
-// bits of word k.
+// queueParents queues the words holding the parents of nb, bits of word
+// k that may be new.
 func (t *Tree) queueParents(k int, nb uint64) {
 	if k == 0 {
 		nb &^= 1 // the root has no parent
@@ -269,20 +282,36 @@ func (t *Tree) queueParents(k int, nb uint64) {
 		return
 	}
 	// Divide once per word: later parents are found by stepping over
-	// whole sibling groups of q nodes.
-	p := (k<<6 + bits.TrailingZeros64(nb) - 1) / t.q
+	// whole sibling groups of q nodes. Each parent's remaining children
+	// are masked off, so a full word costs one pass per parent, not per
+	// bit. A parent that is done, or has a clear child in word k, cannot
+	// close and is not queued; a child window reaching past word k is
+	// left to closeWord's test.
+	w := t.done.Words()
+	base := k << 6
+	p := (base + bits.TrailingZeros64(nb) - 1) / t.q
+	if last := (base + 62 - bits.LeadingZeros64(nb)) / t.q; t.done.AllSet(p, last-p+1) {
+		return // every parent of nb is done: the usual case in a closed region
+	}
 	end := t.q*p + t.q + 1 // one past p's last child
-	t.candidate(p)
-	for nb &= nb - 1; nb != 0; nb &= nb - 1 {
-		n := k<<6 + bits.TrailingZeros64(nb)
-		if n < end {
-			continue // a sibling of the last new bit
+	for {
+		lo := end - t.q - base // p's first child, as a bit of word k
+		if w[p>>6]&(1<<(uint(p)&63)) == 0 {
+			if lo < 0 || end-base > 64 {
+				t.candidate(p)
+			} else if m := (uint64(1)<<uint(t.q) - 1) << uint(lo); w[k]&m == m {
+				t.candidate(p)
+			}
 		}
-		for end <= n {
+		if end-base >= 64 {
+			return
+		}
+		if nb &= ^uint64(0) << uint(end-base); nb == 0 {
+			return
+		}
+		for n := base + bits.TrailingZeros64(nb); end <= n; end += t.q {
 			p++
-			end += t.q
 		}
-		t.candidate(p)
 	}
 }
 

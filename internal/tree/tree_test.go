@@ -307,20 +307,28 @@ func TestVersionedTreeMatchesPlain(t *testing.T) {
 	}
 }
 
-// mergeDelta ORs raw into tr the way DA merges a snapshot — collecting
-// each word's newly set bits — and closes from those deltas.
-func mergeDelta(tr *Tree, raw *bitset.Set) {
-	var deltas []bitset.DeltaWord
-	if tr.vers != nil {
-		_, deltas = tr.vers.UnionWithCollect(raw, nil)
-	} else {
-		for i, w := range raw.Words() {
-			if neu := tr.done.OrWord(i, w); neu != 0 {
-				deltas = append(deltas, bitset.DeltaWord{Index: int32(i), Word: neu})
-			}
+// orRaw ORs raw into tr the way DA merges a delivery, through the
+// versioned set when attached, and returns the indices of raw's nonzero
+// words: the words the merge may have changed.
+func orRaw(tr *Tree, raw *bitset.Set) []int32 {
+	var idxs []int32
+	for i, w := range raw.Words() {
+		if w == 0 {
+			continue
 		}
+		if tr.vers != nil {
+			tr.vers.OrWord(i, w)
+		} else {
+			tr.done.OrWord(i, w)
+		}
+		idxs = append(idxs, int32(i))
 	}
-	tr.Close(deltas)
+	return idxs
+}
+
+// mergeRaw ORs raw into tr and closes over the words it read.
+func mergeRaw(tr *Tree, raw *bitset.Set) {
+	tr.Close([][]int32{orRaw(tr, raw)}, false)
 }
 
 // nodesSet is a raw bit set of tr's shape with the given nodes set.
@@ -348,12 +356,15 @@ func scratchEmpty(tr *Tree) bool {
 	return true
 }
 
-// TestCloseEqualsRecompute merges random delta words — leaves, whole
-// closed subtrees as a peer would send them, and bare interior bits — and
+// TestCloseEqualsRecompute merges random words — leaves, whole closed
+// subtrees as a peer would send them, and bare interior bits — and
 // requires Close to reach the same node bits as the bottom-up per-child
-// recompute after every merge. The shapes put the node array on 1 to 68
-// words, so parents sit in word 0, in the word below their children and
-// across word boundaries.
+// recompute after every merge. Close is told the merged words in one of
+// three forms, as DA's merges report them: one index list; several lists
+// in one call, with repeats and with words the merge did not change
+// (their bits already set, or clear); or every word (all). The shapes
+// put the node array on 1 to 68 words, so parents sit in word 0, in the
+// word below their children and across word boundaries.
 func TestCloseEqualsRecompute(t *testing.T) {
 	shapes := []struct{ q, h int }{
 		{2, 0}, {2, 1}, {2, 5}, {2, 6}, {2, 7}, {2, 8}, {2, 10},
@@ -397,7 +408,15 @@ func TestCloseEqualsRecompute(t *testing.T) {
 				if ref.firstLeaf > 0 && r.Intn(8) == 0 {
 					set(r.Intn(ref.firstLeaf))
 				}
-				mergeDelta(tr, raw)
+				idxs := orRaw(tr, raw)
+				switch round % 3 {
+				case 0:
+					tr.Close([][]int32{idxs}, false)
+				case 1:
+					tr.Close(splitWithExtras(r, idxs, len(raw.Words())), false)
+				default:
+					tr.Close(nil, true)
+				}
 				ref.recompute()
 				if !ref.equal(tr) {
 					t.Fatalf("q=%d h=%d trial %d round %d: Close diverged from the recompute", sh.q, sh.h, trial, round)
@@ -410,6 +429,25 @@ func TestCloseEqualsRecompute(t *testing.T) {
 	}
 }
 
+// splitWithExtras spreads idxs, plus repeats and random words of an
+// nw-word tree, over one to four index lists, some possibly empty.
+func splitWithExtras(r *rand.Rand, idxs []int32, nw int) [][]int32 {
+	all := append([]int32(nil), idxs...)
+	for k := r.Intn(4); k > 0; k-- {
+		all = append(all, int32(r.Intn(nw)))
+		if len(idxs) > 0 {
+			all = append(all, idxs[r.Intn(len(idxs))])
+		}
+	}
+	r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	lists := make([][]int32, 1+r.Intn(4))
+	for _, k := range all {
+		i := r.Intn(len(lists))
+		lists[i] = append(lists[i], k)
+	}
+	return lists
+}
+
 // TestCloseRevisitsWordZero closes a binary tree whose nodes all sit in
 // word 0, where every parent shares its children's word: one merge of all
 // leaves must close every level up to the root.
@@ -419,7 +457,7 @@ func TestCloseRevisitsWordZero(t *testing.T) {
 	for i := 0; i < tr.Leaves(); i++ {
 		leaves = append(leaves, tr.LeafNode(i))
 	}
-	mergeDelta(tr, nodesSet(tr, leaves...))
+	mergeRaw(tr, nodesSet(tr, leaves...))
 	if !tr.AllDone() || tr.CheckInvariant() != -1 {
 		t.Fatalf("root closed=%v, invariant broken at %d", tr.AllDone(), tr.CheckInvariant())
 	}
@@ -432,11 +470,11 @@ func TestCloseEvenWordBitZero(t *testing.T) {
 	for _, k := range []int{8, 10, 14} {
 		tr := New(2, 9) // 1023 nodes in words 0–15; leaves from 511
 		n := 64 * k
-		mergeDelta(tr, nodesSet(tr, n-1))
+		mergeRaw(tr, nodesSet(tr, n-1))
 		if tr.Done(tr.Parent(n)) {
 			t.Fatalf("k=%d: parent %d closed with one child done", k, tr.Parent(n))
 		}
-		mergeDelta(tr, nodesSet(tr, n))
+		mergeRaw(tr, nodesSet(tr, n))
 		if !tr.Done(tr.Parent(n)) {
 			t.Fatalf("k=%d: bit 0 of word %d did not close parent %d", k, k, tr.Parent(n))
 		}
@@ -452,7 +490,7 @@ func TestCloseEvenWordBitZero(t *testing.T) {
 func TestCloseOnCloneLeavesOriginal(t *testing.T) {
 	for _, q := range []int{2, 3} {
 		tr, _ := NewForTasksVersioned(q, 200)
-		mergeDelta(tr, nodesSet(tr, tr.LeafNode(0), tr.LeafNode(5)))
+		mergeRaw(tr, nodesSet(tr, tr.LeafNode(0), tr.LeafNode(5)))
 		before := tr.SnapshotSet()
 		c := tr.Clone()
 		if &c.work[0] == &tr.work[0] || (tr.cand != nil && &c.cand[0] == &tr.cand[0]) {
@@ -462,7 +500,7 @@ func TestCloseOnCloneLeavesOriginal(t *testing.T) {
 		for i := 0; i < c.Leaves(); i++ {
 			leaves = append(leaves, c.LeafNode(i))
 		}
-		mergeDelta(c, nodesSet(c, leaves...))
+		mergeRaw(c, nodesSet(c, leaves...))
 		if !c.AllDone() {
 			t.Fatalf("q=%d: clone did not close its root", q)
 		}
@@ -539,7 +577,7 @@ func TestClosureMatchesPerChildLoop(t *testing.T) {
 			for _, i := range r.Perm(tr.Leaves()) {
 				if r.Intn(8) == 0 {
 					n := r.Intn(ref.firstLeaf)
-					mergeDelta(tr, nodesSet(tr, n))
+					mergeRaw(tr, nodesSet(tr, n))
 					ref.done[n] = true
 					ref.propagate(ref.parent(n))
 				} else {
