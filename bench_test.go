@@ -436,7 +436,7 @@ func benchBuild(b *testing.B, build func(p, t int, seed int64, shards int) []sim
 // adversary on one warmed reusable engine — the grouped delivery path
 // and the versioned knowledge plane end to end, still at 0 allocs/op.
 func BenchmarkEngineSteadyStatePA1024(b *testing.B) {
-	benchSteadyState1024(b, doall.NewPaRan1(1024, 65536, 42), adversary.NewFair(8))
+	benchSteadyState(b, steady1024, doall.NewPaRan1(1024, 65536, 42), adversary.NewFair(8))
 }
 
 // BenchmarkEngineSteadyStatePaRan2_1024 is the same shape for PaRan2,
@@ -444,7 +444,7 @@ func BenchmarkEngineSteadyStatePA1024(b *testing.B) {
 // rank/select over the done-set's words. Its reset machines re-seed
 // their random sources, so each iteration replays the same trial.
 func BenchmarkEngineSteadyStatePaRan2_1024(b *testing.B) {
-	benchSteadyState1024(b, doall.NewPaRan2(1024, 65536, 42), adversary.NewFair(8))
+	benchSteadyState(b, steady1024, doall.NewPaRan2(1024, 65536, 42), adversary.NewFair(8))
 }
 
 // BenchmarkEngineSteadyStatePaRan2_1024Skew is the PaRan2 shape under a
@@ -452,44 +452,66 @@ func BenchmarkEngineSteadyStatePaRan2_1024(b *testing.B) {
 // every broadcast is eight delay classes, one wheel event each, fanned
 // into inboxes — still 0 allocs/op.
 func BenchmarkEngineSteadyStatePaRan2_1024Skew(b *testing.B) {
-	benchSteadyState1024(b, doall.NewPaRan2(1024, 65536, 42), skewFill{d: 8})
+	benchSteadyState(b, steady1024, doall.NewPaRan2(1024, 65536, 42), skewFill{d: 8})
 }
 
 // BenchmarkEngineSteadyStateDA1024 is the same shape for DA(2): each
 // step merges the delivered progress trees and closes the tree over the
 // words those merges read, still at 0 allocs/op.
 func BenchmarkEngineSteadyStateDA1024(b *testing.B) {
-	benchSteadyState1024(b, daMachines1024(b), adversary.NewFair(8))
+	benchSteadyState(b, steady1024, daMachines(b, steady1024), adversary.NewFair(8))
 }
 
 // BenchmarkEngineSteadyStateDA1024Skew is the DA shape under the
 // recipient-skewed fill (skewFill, d=8), where deliveries arrive in
 // eight delay classes and a step may merge several batches.
 func BenchmarkEngineSteadyStateDA1024Skew(b *testing.B) {
-	benchSteadyState1024(b, daMachines1024(b), skewFill{d: 8})
+	benchSteadyState(b, steady1024, daMachines(b, steady1024), skewFill{d: 8})
 }
 
-// daMachines1024 builds DA(2) at the steady-state benchmarks' shape.
-func daMachines1024(b *testing.B) []sim.Machine {
-	ms, err := scenario.Scenario{Algorithm: scenario.AlgoDA, P: 1024, T: 65536, D: 8, Seed: 42}.Machines()
+// BenchmarkEngineSteadyStatePaRan2_4096 is PaRan2 at the fair grid's
+// largest shape, p=4096, t=2^18 (fair, d=8), on a two-shard tick: a
+// done-set no longer fits in cache here, so a step that skips re-reading
+// its current job's bit, and a primary classification read from the
+// 32 KiB task ledger, save cache misses. Still 0 allocs/op.
+func BenchmarkEngineSteadyStatePaRan2_4096(b *testing.B) {
+	benchSteadyState(b, steady4096, doall.NewPaRan2(4096, 1<<18, 42), adversary.NewFair(8))
+}
+
+// BenchmarkEngineSteadyStateDA4096 is DA(2) at the same shape, where a
+// step mid-leaf skips its top frame's Done check.
+func BenchmarkEngineSteadyStateDA4096(b *testing.B) {
+	benchSteadyState(b, steady4096, daMachines(b, steady4096), adversary.NewFair(8))
+}
+
+// The steady-state benchmarks' shapes: p=1024, t=65536 on a sequential
+// tick, and p=4096, t=2^18 on a two-shard one.
+var (
+	steady1024 = sim.Config{P: 1024, T: 65536}
+	steady4096 = sim.Config{P: 4096, T: 1 << 18, Shards: 2}
+)
+
+// daMachines builds DA(2) at cfg's shape (d=8).
+func daMachines(b *testing.B, cfg sim.Config) []sim.Machine {
+	ms, err := scenario.Scenario{Algorithm: scenario.AlgoDA, P: cfg.P, T: cfg.T, D: 8, Seed: 42}.Machines()
 	if err != nil {
 		b.Fatal(err)
 	}
 	return ms
 }
 
-// benchSteadyState1024 times whole re-runs of ms (p=1024, t=65536, d=8)
-// under adv on one warmed reusable engine, machines reset in place.
-func benchSteadyState1024(b *testing.B, ms []sim.Machine, adv sim.Adversary) {
-	const p, t = 1024, 65536
+// benchSteadyState times whole re-runs of ms at cfg's shape under adv on
+// one warmed reusable engine, machines reset in place.
+func benchSteadyState(b *testing.B, cfg sim.Config, ms []sim.Machine, adv sim.Adversary) {
 	eng := sim.NewEngine()
-	// Pool and slice capacities converge over the first few runs at this
-	// shape (buffer-to-use pairings shift until every pooled buffer has
+	defer eng.Close()
+	// Pool and slice capacities converge over the first few runs at these
+	// shapes (buffer-to-use pairings shift until every pooled buffer has
 	// its maximal capacity); warm until steady so the timed loop measures
 	// the true 0 allocs/op state.
 	for w := 0; w < 4; w++ {
 		sim.ResetMachines(ms)
-		if _, err := eng.Run(sim.Config{P: p, T: t}, ms, adv); err != nil {
+		if _, err := eng.Run(cfg, ms, adv); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -500,7 +522,7 @@ func benchSteadyState1024(b *testing.B, ms []sim.Machine, adv sim.Adversary) {
 		if !sim.ResetMachines(ms) {
 			b.Fatal("machines must be resettable")
 		}
-		res, err := eng.Run(sim.Config{P: p, T: t}, ms, adv)
+		res, err := eng.Run(cfg, ms, adv)
 		if err != nil {
 			b.Fatal(err)
 		}

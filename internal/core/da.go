@@ -35,6 +35,12 @@ type DA struct {
 	jobs      Jobs
 	stack     []daFrame
 	unit      int // tasks of the current leaf's job already performed
+	// topUndone reports that the top frame's node is known undone: a step
+	// ended mid-leaf, or pushed a child it had just checked. Only a merge
+	// can mark a node, so absorb clears it when the merge set bits, and
+	// Reset and Rejoin clear it too; while it is set, advance skips the
+	// top frame's Done check.
+	topUndone bool
 	halted    bool
 }
 
@@ -135,6 +141,7 @@ func (m *DA) StepBatched(now int64, batches []*sim.Batch, tail []sim.Delivery) s
 func (m *DA) absorb(batches []*sim.Batch, tail []sim.Delivery) {
 	if m.merge(batches, tail) > 0 {
 		m.tree.Close(m.touched, m.dense)
+		m.topUndone = false
 	}
 }
 
@@ -151,7 +158,7 @@ func (m *DA) advance() sim.StepResult {
 		// A node completed by others (via merge) is popped for free: the
 		// pruning happens during message processing already paid for. A
 		// leaf whose job a peer finished is abandoned even mid-job.
-		if m.tree.Done(f.node) {
+		if !m.topUndone && m.tree.Done(f.node) {
 			m.stack = m.stack[:len(m.stack)-1]
 			m.unit = 0
 			continue
@@ -166,10 +173,12 @@ func (m *DA) advance() sim.StepResult {
 				m.unit = 0
 				m.tree.MarkLeaf(job)
 				m.stack = m.stack[:len(m.stack)-1]
+				m.topUndone = false
 				r := sim.StepResult{Broadcast: m.snapshot()}
 				r.Perform(z)
 				return r
 			}
+			m.topUndone = true
 			return sim.PerformStep(z)
 		}
 
@@ -181,6 +190,7 @@ func (m *DA) advance() sim.StepResult {
 			f.next++
 			if !m.tree.Done(child) {
 				m.stack = append(m.stack, daFrame{node: child, depth: f.depth + 1})
+				m.topUndone = true
 				return sim.StepResult{} // one unit of traversal overhead
 			}
 			continue // skipping a done child is part of message processing
@@ -189,6 +199,7 @@ func (m *DA) advance() sim.StepResult {
 		// All children done: close this node and share the news.
 		m.tree.Mark(f.node)
 		m.stack = m.stack[:len(m.stack)-1]
+		m.topUndone = false
 		halt := m.tree.AllDone() && len(m.stack) == 0
 		m.halted = halt
 		return sim.StepResult{Broadcast: m.snapshot(), Halt: halt}
@@ -244,6 +255,7 @@ func (m *DA) Reset() {
 	m.stack = m.stack[:0]
 	m.stack = append(m.stack, daFrame{node: m.tree.Root(), depth: 0})
 	m.unit = 0
+	m.topUndone = false
 	m.halted = false
 }
 
@@ -257,6 +269,7 @@ func (m *DA) Rejoin() {
 	m.stack = m.stack[:0]
 	m.stack = append(m.stack, daFrame{node: m.tree.Root(), depth: 0})
 	m.unit = 0
+	m.topUndone = false
 	m.halted = false
 }
 

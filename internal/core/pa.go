@@ -151,18 +151,18 @@ func NewPaRan1(p, t int, seed int64) []sim.Machine { return NewPaRan1Sharded(p, 
 func NewPaRan1Sharded(p, t int, seed int64, shards int) []sim.Machine {
 	jobs := NewJobs(p, t)
 	ms := make([]sim.Machine, p)
-	// All p permutations share one int32 backing array (pointer-free, one
-	// allocation) instead of p separate ones; each shard writes its own
-	// processors' slices of it.
-	backing := make([]int32, p*jobs.N)
 	sh := perm.NewShuffler(jobs.N)
 	fanOut(p, shards, func(lo, hi int) {
+		// A shard's permutations share one int32 backing array
+		// (pointer-free, one allocation per build shard), allocated and so
+		// zeroed by the shard itself rather than by one goroutine for all.
 		// One source per shard, re-seeded per processor: Seed fully
 		// reinitializes the generator.
+		backing := make([]int32, (hi-lo)*jobs.N)
 		var src perm.Source
 		for i := lo; i < hi; i++ {
 			src.Seed(seed + int64(i))
-			order := sh.Into(&src, backing[i*jobs.N:])
+			order := sh.Into(&src, backing[(i-lo)*jobs.N:])
 			ms[i] = newPA(i, jobs, &permSelector{order: order})
 		}
 	})
@@ -176,17 +176,19 @@ func NewPaRan2(p, t int, seed int64) []sim.Machine { return NewPaRan2Sharded(p, 
 
 // NewPaRan2Sharded is NewPaRan2 with the per-processor source seeding
 // fanned out over `shards` goroutines (inline for shards ≤ 1); every shard
-// count builds identical machines. The p sources are perm.Sources held in
-// one backing slice, each wrapped in a rand.Rand: the same stream as
-// rand.NewSource(seed+pid), seeded without a division.
+// count builds identical machines. The sources are perm.Sources held in
+// one backing slice per build shard, allocated by the shard, each wrapped
+// in a rand.Rand: the same stream as rand.NewSource(seed+pid), seeded
+// without a division.
 func NewPaRan2Sharded(p, t int, seed int64, shards int) []sim.Machine {
 	jobs := NewJobs(p, t)
 	ms := make([]sim.Machine, p)
-	srcs := make([]perm.Source, p)
 	fanOut(p, shards, func(lo, hi int) {
+		srcs := make([]perm.Source, hi-lo)
 		for i := lo; i < hi; i++ {
-			srcs[i].Seed(seed + int64(i))
-			r := rand.New(&srcs[i])
+			src := &srcs[i-lo]
+			src.Seed(seed + int64(i))
+			r := rand.New(src)
 			ms[i] = newPA(i, jobs, &randSelector{rng: r, seed: seed + int64(i), committed: -1})
 		}
 	})
@@ -271,21 +273,27 @@ func (m *PA) Step(now int64, inbox []sim.Delivery) sim.StepResult {
 // group), the per-recipient tail individually. Most steps receive
 // nothing, and skipping the merge call for them is measurable at p=256.
 func (m *PA) StepBatched(now int64, batches []*sim.Batch, tail []sim.Delivery) sim.StepResult {
+	learned := 0
 	if len(batches) > 0 || len(tail) > 0 {
-		m.remain -= m.merge(batches, tail)
+		learned = m.merge(batches, tail)
+		m.remain -= learned
 	}
-	return m.advance()
+	return m.advance(learned > 0)
 }
 
 // advance is the post-merge step body: select, perform, broadcast.
-func (m *PA) advance() sim.StepResult {
+// learned reports that this step's merge set at least one bit.
+func (m *PA) advance(learned bool) sim.StepResult {
 	if m.remain == 0 {
 		m.halted = true
 		return sim.StepResult{Halt: true}
 	}
 
-	// (Re)select if we have no current job or a peer finished ours.
-	if m.cur < 0 || m.vers.Get(m.cur) {
+	// (Re)select if we have no current job or a peer finished ours. The
+	// current job was undone when selected, and only a merge can set its
+	// bit (markDone clears cur, Reset and Rejoin set it to -1), so its
+	// bit is re-read only after a merge that learned something.
+	if m.cur < 0 || learned && m.vers.Get(m.cur) {
 		m.cur = m.selector.next(m.vers.Bits())
 		m.unit = 0
 		if m.cur < 0 {

@@ -56,6 +56,7 @@ type Engine struct {
 	halted     []bool
 	stopped    int // processors crashed or halted
 	tasks      *TaskLedger
+	tickUndone int // tasks.Undone() when this tick's steps began
 	inflight   int // message copies sent and not yet delivered
 	res        Result
 	view       View      // reused across ticks; only Now/InFlight change
@@ -561,11 +562,13 @@ func materializeInto(buf []Delivery, pend []*Batch, inbox []Delivery, i int) []D
 //
 //   - Result.Solved is constant within a tick, so the conditional work and
 //     message split is applied once, at merge time.
-//   - A task is primary iff no earlier time unit performed it:
-//     FirstDoneAt is -1, or now because an earlier step of this tick
-//     already performed it (possible only in the sequential tick, whose
-//     finishStep runs between steps). Out-of-range tasks are left for
-//     finishStep's validation panic.
+//   - A task is primary iff no earlier time unit performed it: its
+//     ledger bit is clear, or an earlier step of this tick performed it
+//     first (FirstDoneAt is now). The second read happens only when the
+//     ledger's undone count fell since the tick began, which needs a
+//     sequential tick (its finishStep runs between steps): a parallel
+//     tick's A2 reads only the frozen ledger, never FirstDoneAt.
+//     Out-of-range tasks are left for finishStep's validation panic.
 //   - A broadcast charges p-1 messages and p-1 copies of its payload's
 //     byte size, omitted copies included, and counts one multicast, so
 //     no adversary query is needed here and a stateful delay stream
@@ -594,7 +597,7 @@ func (e *Engine) stepMachine(i int, now int64, sb *shardBlock, r *StepResult) {
 	e.res.PerProcWork[i]++
 	if z := r.PerformedTask(); uint(z) < uint(e.cfg.T) { // NoTask and out-of-range tasks skip
 		sb.taskExecs++
-		if first := e.res.FirstDoneAt[z]; first == -1 || first == now {
+		if !e.tasks.Done(z) || e.tasks.Undone() < e.tickUndone && e.res.FirstDoneAt[z] == now {
 			sb.primary++
 		} else {
 			sb.secondary++
@@ -728,6 +731,7 @@ func (e *Engine) tick(now int64) {
 	// staged blocks merged once per tick, so they cannot diverge.
 	informed := false
 	ranPar := false
+	e.tickUndone = e.tasks.Undone()
 	if e.shards > 1 {
 		stepped, informed, ranPar = e.tickPar(now)
 	}

@@ -17,9 +17,9 @@ const ledgerChunkWords = 64
 // keeps the global undone count, and maintains per-chunk undone counts
 // for skip-scanning. It is not safe for concurrent use in general;
 // concurrent read-only access (Done, Undone) is safe while no writer
-// runs — the parallel tick engine's A2 shards rely on this, reading
-// pre-tick done states while every MarkDone waits for the serial
-// phase B.
+// runs — the parallel tick engine's A2 shards rely on this: they classify
+// each performed task as primary by its pre-tick Done bit alone, while
+// every MarkDone waits for the serial phase B.
 type TaskLedger struct {
 	n           int
 	words       []uint64
