@@ -410,8 +410,8 @@ func BenchmarkDContentionSearchP128D8(b *testing.B) {
 }
 
 // BenchmarkBuildPaRan1 times PaRan1's construction (p permutations of p
-// jobs in one int32 backing: 64 MiB at p=4096) at t=2^16, serially and at
-// two shards.
+// jobs in int32 backings, one per build shard: 64 MiB at p=4096) at
+// t=2^16, serially and at two shards.
 func BenchmarkBuildPaRan1(b *testing.B) { benchBuild(b, core.NewPaRan1Sharded) }
 
 // BenchmarkBuildPaRan2 times PaRan2's construction (p seeded sources and

@@ -433,7 +433,7 @@ func TestObliDoScheduleArityMismatchPanics(t *testing.T) {
 // serial ones: at every fan-out, including uneven splits and more shards
 // than processors, PaRan1 must draw the same permutations and PaRan2's
 // selectors the same first draws. Run under -race it also checks that the
-// shards write disjoint parts of the shared backing.
+// shards write only their own machine slots and their own backings.
 func TestPABuildFanOutEquivalence(t *testing.T) {
 	for _, c := range []struct{ p, tasks int }{{1, 4}, {5, 20}, {64, 256}, {131, 1000}} {
 		serial1 := NewPaRan1(c.p, c.tasks, 17)

@@ -31,8 +31,8 @@ func EstimateCellBytes(sc Scenario) int64 {
 	treeWords := (2*jobs + 64) / 64
 
 	// Schedule-permutation backing, the PA-family's dominant term: PaRan1
-	// materializes one int32 per (processor, job) into a single shared
-	// backing array — p·jobs·4 bytes, 16 GiB at p = 65536 — while PaRan2
+	// materializes one int32 per (processor, job) into one backing array
+	// per build shard — p·jobs·4 bytes, 16 GiB at p = 65536 — while PaRan2
 	// holds no permutation (each selection draws uniformly from the jobs
 	// its done-set leaves undone) and the non-permutation algorithms (DA's
 	// digit/stack walk, AllToAll's and ObliDo's flat scans) carry only
